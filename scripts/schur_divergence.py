@@ -3,9 +3,9 @@
 The operator with kernel i_{[0,pi]} acts as a contraction, but taking
 the entrywise modulus of its matrix destroys that: finite sections of
 |i_{[0,pi]}| have norms growing like log r.  The table below shows the
-norm, the smallest row sum s_r sandwiching it from below, and the
-divergent harmonic bound u_r, next to the fixed norm of the observable
-truncation itself.
+norm with its certified bracket, the smallest row sum s_r sandwiching it
+from below, and the divergent harmonic bound u_r, next to the fixed norm
+of the observable truncation itself.
 """
 
 import argparse
@@ -29,12 +29,12 @@ def main(argv=None):
                                half, w).entries)
     print(f"observable truncation at side {args.window}: "
           f"norm {ref.value:.12f} (stays <= 1)")
-    print(f"{'r':>6} {'u_r':>14} {'s_r':>14} {'norm':>14}  method")
+    print(f"{'r':>6} {'u_r':>14} {'s_r':>14} {'norm':>14}  method, certified bracket")
     for rec in cn.modulus_growth_table(args.r):
-        section = cn.half_circle_modulus_section(rec.r)
-        method = cn.operator_norm(section).method.value
+        est = rec.estimate
         print(f"{rec.r:>6} {rec.harmonic_bound:>14.9f} "
-              f"{rec.min_row_sum:>14.9f} {rec.norm:>14.9f}  {method}")
+              f"{rec.min_row_sum:>14.9f} {rec.norm:>14.9f}  "
+              f"{est.method.value} [{est.lower!r}, {est.upper!r}]")
     print("u_r tracks (log r)/(2 pi): unbounded, so the modulus map is not "
           "a bounded multiplier here")
     return 0

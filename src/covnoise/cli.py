@@ -495,7 +495,7 @@ def _suite_noise_diagonal(cfg: RunConfig) -> _Suite:
 def _suite_schur(cfg: RunConfig) -> _Suite:
     suite = _Suite()
     table = modulus_growth_table((5, 55, 555))
-    chain = all(rec.norm + 1e-9 >= rec.min_row_sum > rec.harmonic_bound
+    chain = all(rec.estimate.lower >= rec.min_row_sum > rec.harmonic_bound
                 for rec in table)
     suite.check("growth-chain r=5,55,555", chain, 0.0)
     u5 = table[0].harmonic_bound

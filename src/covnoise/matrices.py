@@ -429,7 +429,8 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
     Kinds: constant_one; chessboard (xi, optional orientation); torus with
     "phases" either an explicit array (naturals, indices 0..len-1) or
     {"formula": "linear", "slope": s}; gram with "vectors" given as a list
-    of [re, im]-pair lists (naturals, indices 0..len-1).
+    of [re, im]-pair lists (naturals, indices 0..len-1), or with a
+    "seed"/"dim" pair for seeded_gram.
     """
 
     if not isinstance(spec, dict):
@@ -479,9 +480,18 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
         raise UsageError("torus spec needs 'phases' as an array or a formula object")
 
     if kind == "gram":
+        if "seed" in spec or "dim" in spec:
+            seed, dim = spec.get("seed"), spec.get("dim")
+            if "vectors" in spec:
+                raise UsageError("gram spec takes 'vectors' or a 'seed'/'dim' pair, not both")
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                       for v in (seed, dim)):
+                raise UsageError(f"gram spec needs nonnegative integers 'seed' and 'dim', "
+                                 f"got {seed!r} and {dim!r}")
+            return seeded_gram(domain, dim, seed)
         vecs = spec.get("vectors")
         if not isinstance(vecs, list) or not vecs:
-            raise UsageError("gram spec needs a nonempty 'vectors' list")
+            raise UsageError("gram spec needs a nonempty 'vectors' list or a 'seed'/'dim' pair")
         if domain is not IndexDomain.NATURALS:
             raise UsageError("explicit gram vectors index the naturals only")
         rows = np.asarray([[_complex_from_pair(c) for c in vec] for vec in vecs])

@@ -183,6 +183,13 @@ def test_schur_growth_csv_contract(capsys):
     assert float(r5[3]) >= float(r5[1]) > float(r5[2])
 
 
+def test_observable_accepts_seeded_gram_spec(capsys):
+    spec = '{"kind":"gram","domain":"N","seed":3,"dim":4}'
+    code, out, err = run_cli(capsys, "observable", "--matrix", spec, "--window", "0:3")
+    assert code == 0 and err == ""
+    assert out.startswith("{")
+
+
 def test_schur_growth_rejects_even_r(capsys):
     code, _, err = run_cli(capsys, "schur-growth", "--r", "6")
     assert code == 2 and "odd" in err
@@ -241,3 +248,12 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,l,value")
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, covnoise.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -261,6 +261,7 @@ def test_matrix_from_spec_round_trips():
         ({"kind": "torus", "domain": "Z", "phases": {"formula": "linear", "slope": 0.7}},
          cn.torus_from_phases(Z, cn.PhaseSequence(
              lambda n: 0.7 * np.asarray(n, dtype=float)))),
+        ({"kind": "gram", "domain": "Z", "seed": 3, "dim": 4}, cn.seeded_gram(Z, 4, seed=3)),
     ]
     idx = np.arange(-5, 6)
     for spec, direct in spec_pairs:
@@ -295,6 +296,8 @@ def test_matrix_from_spec_round_trips():
     ({"kind": "torus", "domain": "N", "phases": {"formula": "quadratic"}}, "formula"),
     ({"kind": "gram", "domain": "N", "vectors": []}, "vectors"),
     ([], "object"),
+    ({"kind": "gram", "domain": "N", "seed": 3}, "dim"),
+    ({"kind": "gram", "domain": "N", "seed": 3, "dim": 4, "vectors": [[1.0]]}, "not both"),
 ])
 def test_matrix_from_spec_rejects(spec, needle):
     with pytest.raises(UsageError, match=needle):

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise.errors import ContractViolationError, UsageError
-from covnoise.schur_analysis import NormConvergenceError
+from covnoise.schur_analysis import (
+    NormConvergenceError,
+    _half_circle_column,
+    _toeplitz_row_sums,
+)
 
 # frozen section norms of the half-circle modulus kernel; regression values
 # cross-checked below against the row-sum sandwich and the harmonic bound
@@ -104,8 +108,11 @@ def test_growth_table_values_and_chain():
     assert rec5.harmonic_bound == pytest.approx(23.0 / (15.0 * math.pi), rel=1e-14)
     assert rec5.norm == pytest.approx(NORM_5, rel=1e-12)
     assert rec55.norm == pytest.approx(NORM_55, rel=1e-12)
-    for rec in table:
-        assert rec.norm + 1e-9 >= rec.min_row_sum > rec.harmonic_bound
+    for rec, frozen in zip(table, (NORM_5, NORM_55)):
+        est = rec.estimate
+        assert est.method is cn.NormMethod.TOEPLITZ_LANCZOS
+        assert est.lower <= frozen <= est.upper
+        assert est.lower >= rec.min_row_sum > rec.harmonic_bound
     # the harmonic lower bound is unbounded along sparse subsequences
     big = cn.modulus_growth_table((555,))[0]
     assert big.harmonic_bound > rec5.harmonic_bound + 0.1
@@ -113,6 +120,56 @@ def test_growth_table_values_and_chain():
         cn.modulus_growth_table((4,))
     with pytest.raises(UsageError):
         cn.modulus_growth_table((3,))
+
+
+@pytest.mark.parametrize("r", [5, 55, 555, 5555])
+def test_growth_norm_inside_certified_bracket(r):
+    est = cn.modulus_growth_table((r,))[0].estimate
+    assert est.lower <= est.value <= est.upper
+    assert est.residual == (est.upper - est.lower) / est.value < 1e-11
+    assert est.iterations > 0
+
+
+def test_growth_bracket_contains_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    for r in (5, 55):
+        est = cn.modulus_growth_table((r,))[0].estimate
+        section = mpmath.matrix(cn.half_circle_modulus_section(r).tolist())
+        with mpmath.workdps(40):
+            top = max(mpmath.eigsy(section, eigvals_only=True))
+            assert est.lower <= top <= est.upper
+
+
+def test_growth_table_repeats_are_identical():
+    a, b = (cn.modulus_growth_table((55, 1555))[1].estimate for _ in range(2))
+    assert (a.value, a.lower, a.upper) == (b.value, b.lower, b.upper)
+
+
+def test_growth_table_at_the_top_of_the_range():
+    """r=19999 needs O(r) memory; a dense section would take 3.2 GB."""
+    rec = cn.modulus_growth_table((19999,))[0]
+    assert rec.estimate.lower >= rec.min_row_sum > rec.harmonic_bound
+    assert rec.estimate.lower <= rec.norm <= rec.estimate.upper
+
+
+def test_toeplitz_row_sums_match_dense():
+    for r in range(1, 602, 2):
+        dense = cn.half_circle_modulus_section(r).sum(axis=1)
+        fast = _toeplitz_row_sums(_half_circle_column(r))
+        assert np.all(np.abs(fast - dense) <= 4 * np.spacing(dense)), r
+
+
+def test_toeplitz_norm_refuses_vanishing_eigenvector(monkeypatch):
+    import scipy.sparse.linalg
+
+    def flat(op, **kwargs):
+        v = np.ones((op.shape[0], 1))
+        v[2] = 0.0
+        return np.asarray([1.0]), v
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flat)
+    with pytest.raises(ContractViolationError, match="zero entries"):
+        cn.modulus_growth_table((5,))
 
 
 def test_harmonic_bound_formula():
