@@ -9,6 +9,7 @@ from .matrices import (
     Orientation,
     PhaseRecoveryFailure,
     PhaseSequence,
+    RowModulusProfile,
     StructureMatrix,
     chessboard,
     constant_one,

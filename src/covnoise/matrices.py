@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 
 DEFAULT_WINDOW_CAP = 4096
+_BLOCK = 1024
 
 
 def window_cap() -> int:
@@ -96,22 +97,51 @@ class PhaseSequence:
     nu: Callable[[np.ndarray], np.ndarray]
 
 
+@dataclass(frozen=True)
+class RowModulusProfile:
+    """Declared moduli |A(n, n+j)| = table[n mod period][j mod period].
+
+    A builder declares a profile when the modulus of its entries depends
+    only on residues of the row index and of the offset j from the
+    diagonal (j != 0).  The summation layer then encloses each residue
+    class of a row tail by a Hurwitz zeta bound instead of the generic
+    one-sided |A| <= 1 bound.
+    """
+
+    period: int
+    table: tuple[tuple[float, ...], ...]
+
+    def weight(self, n: int, j: int) -> float:
+        return self.table[n % self.period][j % self.period]
+
+    def times(self, other: RowModulusProfile | None) -> RowModulusProfile | None:
+        """Profile of the entrywise product with a matrix of profile other."""
+        if other is None:
+            return None
+        p = math.lcm(self.period, other.period)
+        return RowModulusProfile(p, tuple(
+            tuple(self.weight(r, s) * other.weight(r, s) for s in range(p))
+            for r in range(p)))
+
+
+UNIMODULAR = RowModulusProfile(1, ((1.0,),))
+
+
 @dataclass(frozen=True, eq=False)
 class StructureMatrix:
     """Entry oracle for an infinite matrix with entries in the unit disk.
 
-    entry is pure and deterministic.  hermitian and modulus_one are
-    structural facts about the builder, not runtime checks: modulus_one
-    marks matrices known to have |entry| identically 1 off the diagonal
-    as well as on it, which lets the summation layer use a two-sided
-    tail enclosure instead of the generic one-sided bound.
+    entry is pure and deterministic.  hermitian and profile are
+    structural facts about the builder, not runtime checks: profile, when
+    given, declares the off-diagonal moduli by residue class (see
+    RowModulusProfile); None means only |entry| <= 1 is known.
     """
 
     domain: IndexDomain
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
     hermitian: bool = True
-    modulus_one: bool = False
+    profile: RowModulusProfile | None = None
 
 
 def _broadcast_pair(n, m) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +154,7 @@ def constant_one(domain: IndexDomain) -> StructureMatrix:
         return np.ones(na.shape, dtype=np.complex128)[()]
 
     return StructureMatrix(domain, entry, f"constant_one[{domain.value}]",
-                           hermitian=True, modulus_one=True)
+                           hermitian=True, profile=UNIMODULAR)
 
 
 def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
@@ -139,7 +169,7 @@ def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
                             - np.asarray(nu(ma), dtype=float)))[()]
 
     return StructureMatrix(domain, entry, label or f"torus[{domain.value}]",
-                           hermitian=True, modulus_one=True)
+                           hermitian=True, profile=UNIMODULAR)
 
 
 def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix:
@@ -161,9 +191,13 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
         vals = np.where((na + ma) % 2 == 0, even_val, odd_val)
         return vals.astype(np.complex128)[()]
 
+    # n + (n + j) has the parity of j, so the modulus depends on j mod 2 only
+    if params.xi == 1.0:
+        profile = UNIMODULAR
+    else:
+        profile = RowModulusProfile(2, ((even_val, odd_val), (even_val, odd_val)))
     label = f"chessboard(xi={params.xi:g},{params.orientation.value})[{domain.value}]"
-    return StructureMatrix(domain, entry, label, hermitian=True,
-                           modulus_one=(params.xi == 1.0))
+    return StructureMatrix(domain, entry, label, hermitian=True, profile=profile)
 
 
 def gram_from_vectors(domain: IndexDomain,
@@ -204,8 +238,7 @@ def gram_from_vectors(domain: IndexDomain,
         out = np.einsum("kd,kd->k", np.conj(vn), vm)
         return out.reshape(na.shape)[()]
 
-    return StructureMatrix(domain, entry, label or f"gram[{domain.value}]",
-                           hermitian=True, modulus_one=False)
+    return StructureMatrix(domain, entry, label or f"gram[{domain.value}]", hermitian=True)
 
 
 def truncate(A: StructureMatrix, w: IndexWindow, cap: int | None = None) -> np.ndarray:
@@ -253,7 +286,7 @@ def schur_product(a: StructureMatrix, b: StructureMatrix) -> StructureMatrix:
 
     return StructureMatrix(a.domain, entry, f"({a.label})*({b.label})",
                            hermitian=a.hermitian and b.hermitian,
-                           modulus_one=a.modulus_one and b.modulus_one)
+                           profile=None if a.profile is None else a.profile.times(b.profile))
 
 
 def modulus(a: StructureMatrix) -> StructureMatrix:
@@ -261,7 +294,7 @@ def modulus(a: StructureMatrix) -> StructureMatrix:
         return np.abs(np.asarray(a.entry(n, m))).astype(np.complex128)[()]
 
     return StructureMatrix(a.domain, entry, f"|{a.label}|",
-                           hermitian=True, modulus_one=a.modulus_one)
+                           hermitian=True, profile=a.profile)
 
 
 def phase_conjugate_multiplier(a: StructureMatrix) -> StructureMatrix:
@@ -278,8 +311,12 @@ def phase_conjugate_multiplier(a: StructureMatrix) -> StructureMatrix:
         out = np.where(mags == 0.0, 0.0 + 0.0j, np.conj(vals) / safe)
         return out[()]
 
+    profile = a.profile
+    if profile is not None:
+        profile = RowModulusProfile(profile.period, tuple(
+            tuple(1.0 if w > 0.0 else 0.0 for w in row) for row in profile.table))
     return StructureMatrix(a.domain, entry, f"phase_conj({a.label})",
-                           hermitian=a.hermitian, modulus_one=a.modulus_one)
+                           hermitian=a.hermitian, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -359,22 +396,29 @@ def _zigzag(n: np.ndarray) -> np.ndarray:
 
 
 class _BlockCache:
-    """Deterministic per-index values drawn from a seeded generator.
+    """Deterministic per-index values in fixed blocks of _BLOCK indices.
 
-    Values are regenerated from scratch whenever capacity grows; numpy
-    generators fill C-order, so earlier indices keep their values and the
-    result is independent of query order.
+    Block b is drawn once from a Philox counter-based stream keyed by
+    (seed, b) (Salmon et al., SC'11), so a value depends only on the seed
+    and its index, never on query order or on how far the cache has grown.
+    values holds every block drawn so far, once, in index order.
     """
 
     def __init__(self, seed: int, make: Callable[[np.random.Generator, int], np.ndarray]):
-        self.seed = seed
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+            raise UsageError(f"seed must be an integer in [0, 2^63), got {seed!r}")
+        self.seed = int(seed)
         self.make = make
-        self.values = make(np.random.default_rng(seed), 64)
+        self.values = self._block(0)
+
+    def _block(self, b: int) -> np.ndarray:
+        return self.make(np.random.Generator(np.random.Philox(key=[self.seed, b])), _BLOCK)
 
     def ensure(self, size: int) -> None:
-        if size > len(self.values):
-            grown = 1 << max(7, int(size - 1).bit_length())
-            self.values = self.make(np.random.default_rng(self.seed), grown)
+        have = len(self.values) // _BLOCK
+        if size > have * _BLOCK:
+            drawn = [self._block(b) for b in range(have, -(-size // _BLOCK))]
+            self.values = np.concatenate([self.values, *drawn])
 
     def take(self, zz: np.ndarray) -> np.ndarray:
         if zz.size:
@@ -402,8 +446,8 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
 
     def make(rng: np.random.Generator, n: int) -> np.ndarray:
         flat = rng.normal(size=(n, 2 * dim))
-        rows = flat[:, :dim] + 1j * flat[:, dim:]
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+        return flat[:, :dim] + 1j * flat[:, dim:]
 
     cache = _BlockCache(seed, make)
 

@@ -8,12 +8,16 @@ For a structure matrix A the l-th moment of the row variable at n is
 and the noise number is s_n(l) = (pi / sqrt 3)^l - M(n, l), which is
 nonnegative because |A| <= 1 and the full lattice sum of 1/(k - n)^2 is
 pi^2/3 on the integers (pi^2/6 plus a partial sum on the naturals).
-Every computed quantity carries a certified bracket [lower, upper]
-derived from integral tail bounds, never a heuristic convergence check.
+Every computed quantity carries a certified bracket [lower, upper]: a
+head summed from the entry oracle plus an enclosed tail (Euler-Maclaurin
+per residue class for rows with a declared modulus profile, |A| <= 1
+otherwise), widened by a floating-point rounding allowance and rounded
+outward, never a heuristic convergence check.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +30,9 @@ from .matrices import IndexDomain, IndexWindow, ChessboardParams, Orientation, S
 _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
 _CHUNK = 1 << 19
+_UNIT = 2.0**-53
+# above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
+_LATTICE_BOUND = 3.3
 
 ODD_INVERSE_SQUARES_TOTAL = math.pi**2 / 8.0
 EVEN_INVERSE_SQUARES_TOTAL = math.pi**2 / 24.0
@@ -133,98 +140,209 @@ def _tail_coefficient(l: int) -> float:
     return _REF_BASE**l * 3.0 / math.pi**2
 
 
-def _row_partial_sum(A: StructureMatrix, n: int, l: int, cutoff: int) -> float:
-    """sum |A(n, k)|^l / (k - n)^2 over the finite range, outward from n.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
-    The range is |k - n| <= cutoff intersected with the domain, widened on
-    the naturals so the whole segment below n is always included.  Terms
-    are evaluated outward in fixed-size blocks; blocks are summed pairwise
-    and combined with exact compensated addition, so the result does not
-    depend on the chunking.
+
+def _zeta2_enclosure(a):
+    """Bounds lo <= zeta(2, a) = sum_{i >= 0} 1/(a + i)^2 <= hi for a > 0.
+
+    The Euler-Maclaurin series of the completely monotone summand 1/x^2
+    alternates around its sum, so stopping after the B_4 term undershoots
+    and after the B_6 term overshoots.  Works for any number type.
+    """
+    x = 1 / a
+    lo = x + x * x / 2 + x**3 / 6 - x**5 / 30
+    return lo, lo + x**7 / 42
+
+
+def _class_tail(after: int, s: int, p: int) -> tuple[float, float]:
+    """Enclosure of sum 1/j^2 over j > after with j = s mod p, which is
+    zeta(2, j0/p) / p^2 for the first such offset j0."""
+    j0 = after + 1 + (s - after - 1) % p
+    lo, hi = _zeta2_enclosure(j0 / p)
+    return lo / p**2, hi / p**2
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How one row bracket is made.
+
+    Offsets j = 1..cutoff above n and j = 1..down below n are summed from
+    the entry oracle; the rest of the row lies in tail (before the factor
+    c(l)).  slack bounds every rounding error of the bracket and width
+    bounds the width of the bracket that comes out.
+    """
+
+    cutoff: int
+    down: int
+    tail: tuple[float, float]
+    slack: float
+    width: float
+
+    @property
+    def terms(self) -> int:
+        return self.cutoff + self.down
+
+
+def _row_plan(A: StructureMatrix, n: int, l: int, cutoff: int) -> _Plan:
+    """The bracket plan for row n at a given cutoff.
+
+    A row with a declared profile gets, per direction and residue class s
+    of the offset, the tail w^l * zeta(2, a)/p^2 enclosed by
+    Euler-Maclaurin; on the naturals the segment below n past the cutoff
+    is the difference of two such tails, so the row costs O(cutoff) terms
+    whatever n is.  A row without one gets the one-sided bound
+    [0, t/cutoff] from |A| <= 1 (t = 2 on the integers, 1 on the
+    naturals, where the whole segment below n is summed).
+
+    The rounding allowance is gamma_N times the largest magnitude in play,
+    N = head block length + 5l + 2p + 40: it covers the head sum (any
+    summation order, Higham's gamma_{h-1}), each term |A|^l/j^2, the tail
+    formulas, the coefficients c(l) and (pi/sqrt 3)^l, and the final
+    subtraction from the reference moment.
     """
 
     naturals = A.domain is IndexDomain.NATURALS
-    down_max = n if naturals else cutoff
-    j_max = max(cutoff, down_max)
-    pieces: list[float] = []
-    for start in range(1, j_max + 1, _CHUNK):
-        js = np.arange(start, min(start + _CHUNK, j_max + 1))
-        inv = 1.0 / (js.astype(float) ** 2)
-        up = js[js <= cutoff]
-        if up.size:
-            mags = np.abs(np.asarray(A.entry(n, n + up)))
-            pieces.append(float(np.sum(mags**l * inv[: up.size])))
-        down = js[js <= down_max]
-        if down.size:
-            mags = np.abs(np.asarray(A.entry(n, n - down)))
-            pieces.append(float(np.sum(mags**l * inv[: down.size])))
-    return math.fsum(pieces)
+    profile = A.profile
+    lo = hi = mag = 0.0
+    if profile is None:
+        p = 1
+        down = n if naturals else cutoff
+        hi = mag = (1.0 if naturals else 2.0) / cutoff
+    else:
+        p = profile.period
+        down = min(cutoff, n) if naturals else cutoff
+        for sign, end in ((1, None), (-1, n if naturals else None)):
+            if end is not None and end <= cutoff:
+                continue
+            for s in range(p):
+                w = profile.weight(n, sign * s) ** l
+                if w == 0.0:
+                    continue
+                a_lo, a_hi = _class_tail(cutoff, s, p)
+                # on the naturals the class stops at offset n (index 0)
+                b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
+                lo += w * (a_lo - b_hi)
+                hi += w * (a_hi - b_lo)
+                mag += w * (a_hi + b_hi)
+    ref = _REF_BASE**l
+    coeff = _tail_coefficient(l)
+    block = min(max(cutoff, down), _CHUNK)
+    slack = _gamma(block + 5 * l + 2 * p + 40) * (ref + coeff * (_LATTICE_BOUND + 2.0 * mag))
+    spread = coeff * (hi - lo) + 2.0 * slack
+    width = spread * (1.0 + 8.0 * _UNIT) + 8.0 * math.ulp(ref + spread)
+    return _Plan(cutoff, down, (lo, hi), slack, width)
 
 
-def _select_cutoff(A: StructureMatrix, q: NoiseQuery) -> tuple[int, float]:
-    """Smallest cutoff whose bracket width is <= q.tol, plus the term count.
+def _first(lo: int, hi: int, pred) -> int:
+    """Smallest k in (lo, hi] with pred(k), for pred monotone and pred(hi)."""
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), True, key=pred)
 
-    Generic matrices get the one-sided tail bound c(l) * t/K with t = 2 on
-    the integers and 1 on the naturals (|A| <= 1, integral comparison).
-    Matrices flagged modulus_one admit the two-sided enclosure
-    c(l) * t * (1/(K+1), 1/K), whose width c(l) * t / (K (K+1)) makes K
-    scale like sqrt(1/tol) instead of 1/tol.
+
+def _round_up(x: float) -> str:
+    """x rounded up to 3 significant digits, so the printed value is reachable."""
+    step = 10.0 ** (math.floor(math.log10(x)) - 2)
+    return "%.3g" % (math.ceil(x / step * (1.0 + 1e-12)) * step)
+
+
+def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
+    """The plan with the smallest cutoff whose width is <= q.tol.
+
+    The width falls with the cutoff while the tail dominates and rises
+    once the rounding allowance does.  Doubling finds a cutoff that fits,
+    or the term cap, or the rising side (then a scan finds the narrowest
+    plan); bisection then finds the smallest cutoff that fits.  A
+    tolerance that no cutoff within the cap meets is refused with the
+    smallest width that is achievable.
     """
 
-    coeff = _tail_coefficient(q.l)
-    sides = 2.0 if A.domain is IndexDomain.INTEGERS else 1.0
-    budget = coeff * sides / q.tol
-    if A.modulus_one:
-        cutoff = int(math.sqrt(budget)) + 1
-    else:
-        cutoff = int(budget) + 1
-    cutoff = max(cutoff, 8)
-    if A.domain is IndexDomain.INTEGERS:
-        terms = 2 * cutoff
-    else:
-        terms = cutoff + max(q.n, 0)
-    return cutoff, terms
+    def plan(k: int) -> _Plan:
+        return _row_plan(A, q.n, q.l, k)
+
+    cap = DEFAULT_TERM_CAP
+    # from one period on, doubling the cutoff moves every residue class
+    lo, cur = 0, plan(1 if A.profile is None else A.profile.period)
+    if cur.terms > cap:
+        raise ResourceLimitError(
+            f"index {q.n} on the naturals puts {q.n} terms below the diagonal, over the "
+            f"term cap {cap}; {A.label} declares no row-modulus profile, so no "
+            f"tolerance brings the count under the cap")
+    while cur.width > q.tol:
+        k = cur.cutoff
+        nxt = plan(2 * k)
+        if nxt.terms > cap:
+            nxt = plan(_first(k, 2 * k, lambda j: plan(j).terms > cap) - 1)
+            if nxt.width > q.tol:
+                below = f", {nxt.down} of them below the diagonal at index {q.n}" \
+                    if nxt.down > nxt.cutoff else ""
+                raise ResourceLimitError(
+                    f"tolerance {q.tol:g} needs more than {cap} terms{below}; the smallest "
+                    f"achievable tolerance within the term cap is {_round_up(nxt.width)}")
+        elif nxt.width >= cur.width:
+            # the narrowest plan lies in (lo, 2k]; this happens only near the floor
+            nxt = min((plan(j) for j in range(lo + 1, 2 * k + 1)), key=lambda pl: pl.width)
+            if nxt.width > q.tol:
+                raise ResourceLimitError(
+                    f"tolerance {q.tol:g} is below the rounding floor of this query; the "
+                    f"smallest achievable tolerance is {_round_up(nxt.width)} "
+                    f"(cutoff {nxt.cutoff})")
+            cur = nxt
+            break
+        lo, cur = k, nxt
+    return plan(_first(lo, cur.cutoff, lambda j: plan(j).width <= q.tol))
+
+
+def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
+    """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
+    over j = 1..down.
+
+    Offsets are evaluated outward in fixed-size blocks; each block is
+    summed by numpy and the block sums are combined with exact compensated
+    addition, so the result does not depend on how far the row reaches.
+    """
+
+    pieces: list[float] = []
+    reach = max(up, down)
+    for start in range(1, reach + 1, _CHUNK):
+        js = np.arange(start, min(start + _CHUNK, reach + 1))
+        inv = 1.0 / (js.astype(float) ** 2)
+        for sign, count in ((1, up), (-1, down)):
+            part = js[: max(count - start + 1, 0)]
+            if part.size:
+                mags = np.abs(np.asarray(A.entry(n, n + sign * part)))
+                pieces.append(float(np.sum(mags**l * inv[: part.size])))
+    return math.fsum(pieces)
 
 
 def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     """Certified bracket for the l-th row moment at q.n.
 
-    The enclosure is [partial + tail_lo, partial + tail_hi]: tail_hi uses
-    |A| <= 1, tail_lo is 0 in general and the matching lower integral
-    bound when |A| is identically 1.  Exceeding the term cap raises a
-    resource error that names the achievable tolerance.
+    The head comes from the entry oracle and the rest of the row from the
+    plan's tail enclosure; the bracket is widened by the rounding
+    allowance and its ends are rounded outward.  A query no cutoff within
+    the term cap can meet, or one below the rounding floor, raises a
+    resource error that names the smallest achievable tolerance.
     """
 
     if not A.domain.contains(q.n):
         raise UsageError(f"index {q.n} is not in {A.domain}")
-    cutoff, terms = _select_cutoff(A, q)
-    if terms > DEFAULT_TERM_CAP:
-        coeff = _tail_coefficient(q.l)
-        sides = 2.0 if A.domain is IndexDomain.INTEGERS else 1.0
-        k_max = DEFAULT_TERM_CAP // (2 if A.domain is IndexDomain.INTEGERS else 1)
-        if A.modulus_one:
-            achievable = coeff * sides / (k_max * (k_max + 1.0))
-        else:
-            achievable = coeff * sides / k_max
-        raise ResourceLimitError(
-            f"tolerance {q.tol:g} needs {terms} terms, over the cap {DEFAULT_TERM_CAP}; "
-            f"achievable tolerance at the cap is about {achievable:.3g}")
-
+    plan = _select_plan(A, q)
     coeff = _tail_coefficient(q.l)
-    sides = 2.0 if A.domain is IndexDomain.INTEGERS else 1.0
-    partial = coeff * _row_partial_sum(A, q.n, q.l, cutoff)
-    tail_hi = coeff * sides / cutoff
-    tail_lo = coeff * sides / (cutoff + 1.0) if A.modulus_one else 0.0
-    lower = partial + tail_lo
-    upper = partial + tail_hi
-    return NoiseValue(0.5 * (lower + upper), lower, upper, cutoff)
+    lo, hi = plan.tail
+    center = coeff * (_head_sum(A, q.n, q.l, plan.cutoff, plan.down) + 0.5 * (lo + hi))
+    radius = 0.5 * coeff * (hi - lo) + plan.slack
+    return NoiseValue(center, math.nextafter(center - radius, -math.inf),
+                      math.nextafter(center + radius, math.inf), plan.cutoff)
 
 
 def noise_value(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     """Certified bracket for s_n(l) = (pi/sqrt 3)^l - M(n, l)."""
     m = moment(A, q)
     ref = reference_moment(q.l)
-    return NoiseValue(ref - m.value, ref - m.upper, ref - m.lower, m.cutoff)
+    return NoiseValue(ref - m.value, math.nextafter(ref - m.upper, -math.inf),
+                      math.nextafter(ref - m.lower, math.inf), m.cutoff)
 
 
 def noise_sequence(A: StructureMatrix, l: int, n_range: IndexWindow,

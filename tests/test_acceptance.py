@@ -82,6 +82,7 @@ def test_criterion_03_naturals_chessboard_closed_forms():
                 gap = abs(closed - v.value) - v.width
                 worst_gap = max(worst_gap, gap)
                 assert abs(closed - v.value) <= v.width + 1e-9
+                assert v.lower <= closed <= v.upper
 
     worst_first = 0.0
     chain = True
@@ -195,7 +196,7 @@ def test_criterion_04_integers_chessboard_adjudication():
             closed = cn.chessboard_noise_closed_form(
                 cn.ChessboardParams(xi, orientation), Z, 0, 2).value
             v = cn.noise_value(A, cn.NoiseQuery(0, 2, 1e-4))
-            assert v.lower - 1e-12 <= closed <= v.upper + 1e-12
+            assert v.lower <= closed <= v.upper
             assert abs(closed - oracle) <= 1e-6
 
     ok = (worst_const <= 1e-6 and worst_pattern <= 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -103,12 +104,48 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "observable", "--x", "0;pi")
     assert code == 2
     code, _, err = run_cli(capsys, "noise-table", "--tol", "1e-12", "--matrix",
-                           '{"kind":"chessboard","domain":"N","xi":0.5}',
+                           '{"kind":"gram","domain":"N","seed":1,"dim":4}',
                            "--n", "0:0")
     assert code == 3 and "achievable" in err
     missing = tmp_path / "nope.json"
     code, _, err = run_cli(capsys, "noise-table", "--matrix", str(missing))
     assert code == 2
+
+
+def test_below_floor_tolerance_exits_3_and_names_the_floor(capsys):
+    spec = '{"kind":"chessboard","domain":"Z","xi":0.5}'
+    code, out, err = run_cli(capsys, "noise-table", "--tol", "1e-16", "--matrix", spec,
+                             "--n", "0:0", "--l", "4")
+    assert code == 3 and out == ""
+    assert "rounding floor" in err
+    floor = re.search(r"smallest achievable tolerance is (\S+)", err).group(1)
+    code, out, err = run_cli(capsys, "noise-table", "--tol", floor, "--matrix", spec,
+                             "--n", "0:0", "--l", "4")
+    assert code == 0 and err == ""
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[4]) - float(row[3]) <= float(floor)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "torus", "domain": "N", "phases": [0.0, 0.5, 1.5]},
+    {"kind": "gram", "domain": "N", "vectors": [[[1.0, 0.0]], [[0.0, 1.0]]]},
+])
+@pytest.mark.parametrize("command", [["noise-table"], ["asymptotic"],
+                                     ["noise-diagonal", "--window", "0:1"]])
+def test_finite_tables_refused_for_row_sums(capsys, spec, command):
+    """Tables cannot feed a sum over a whole row: usage error before any
+    summation, while the windowed commands still take them."""
+    code, out, err = run_cli(capsys, *command, "--matrix", json.dumps(spec))
+    assert code == 2 and out == ""
+    assert "tables serve only the windowed commands" in err
+    code, _, _ = run_cli(capsys, "observable", "--matrix", json.dumps(spec),
+                         "--window", "0:1")
+    assert code == 0
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "torus", "--seed", "-1")
+    assert code == 2 and out == "" and "seed" in err
 
 
 def test_observable_identity_dump(capsys):

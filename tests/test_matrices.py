@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise.errors import ContractViolationError, ResourceLimitError, UsageError
-from covnoise.matrices import PhaseRecoveryFailure, window_cap
+from covnoise.matrices import UNIMODULAR, PhaseRecoveryFailure, window_cap
 
 N = cn.IndexDomain.NATURALS
 Z = cn.IndexDomain.INTEGERS
@@ -75,10 +75,31 @@ def test_chessboard_pattern():
     assert complex(B.entry(0, 1)) == 1.0
     assert complex(B.entry(-2, 2)) == 0.25
     assert complex(B.entry(-3, -3)) == 0.25  # swapped orientation is unnormalized
-    assert cn.chessboard(Z, cn.ChessboardParams(1.0)).modulus_one
-    assert not A.modulus_one
+    assert cn.chessboard(Z, cn.ChessboardParams(1.0)).profile == UNIMODULAR
+    assert A.profile == cn.RowModulusProfile(2, ((1.0, 0.25), (1.0, 0.25)))
+    assert B.profile == cn.RowModulusProfile(2, ((0.25, 1.0), (0.25, 1.0)))
     with pytest.raises(UsageError):
         cn.ChessboardParams(1.5)
+
+
+def test_profiles_propagate_through_products():
+    """Declared row-modulus profiles follow the moduli of derived matrices
+    and agree with the oracle off the diagonal."""
+    a = cn.chessboard(Z, cn.ChessboardParams(0.3))
+    b = cn.chessboard(Z, cn.ChessboardParams(0.5, cn.Orientation.ONE_ON_ODD_SUM))
+    zero = cn.chessboard(Z, cn.ChessboardParams(0.0))
+    derived = [cn.schur_product(a, b), cn.modulus(a), cn.phase_conjugate_multiplier(zero),
+               cn.schur_product(a, cn.seeded_torus(Z, seed=1))]
+    assert derived[0].profile == cn.RowModulusProfile(2, ((0.5, 0.3), (0.5, 0.3)))
+    assert derived[2].profile == cn.RowModulusProfile(2, ((1.0, 0.0), (1.0, 0.0)))
+    assert cn.schur_product(a, cn.seeded_gram(Z, 4, seed=1)).profile is None
+    n, j = np.meshgrid(np.arange(-4, 5), np.arange(1, 7), indexing="ij")
+    for A in derived:
+        want = np.vectorize(A.profile.weight)(n, j)
+        got = np.abs(np.asarray(A.entry(n, n + j)))
+        assert np.max(np.abs(got - want)) <= 1e-15
+        down = np.abs(np.asarray(A.entry(n, n - j)))
+        assert np.max(np.abs(down - np.vectorize(A.profile.weight)(n, -j))) <= 1e-15
 
 
 def test_torus_from_phases_is_rank_one_phase_form():
@@ -87,7 +108,7 @@ def test_torus_from_phases_is_rank_one_phase_form():
     n, m = 5, -2
     expect = np.exp(1j * (0.3 * 25.0 - 0.3 * 4.0))
     assert abs(complex(A.entry(n, m)) - expect) <= 1e-15
-    assert A.modulus_one
+    assert A.profile == UNIMODULAR
 
 
 def test_gram_from_vectors_rejects_unnormalized():
@@ -151,7 +172,7 @@ def test_modulus_and_conjugate_phase_exact_cases():
         na, ma = np.broadcast_arrays(np.asarray(n), np.asarray(m))
         return table[(na - ma) % 4]
 
-    A = cn.StructureMatrix(Z, entry, "quarter-turn", modulus_one=True)
+    A = cn.StructureMatrix(Z, entry, "quarter-turn", profile=UNIMODULAR)
     prod = cn.schur_product(cn.phase_conjugate_multiplier(A), A)
     idx = np.arange(-6, 7)
     block = prod.entry(idx[:, None], idx[None, :])
@@ -221,7 +242,7 @@ def test_phase_recovery_failures():
         phase = 0.3 * na * ma * (na - ma)
         return np.exp(1j * phase.astype(float))
 
-    twisted = cn.StructureMatrix(N, entry, "twisted", modulus_one=True)
+    twisted = cn.StructureMatrix(N, entry, "twisted", profile=UNIMODULAR)
     bad_coc = cn.torus_phase_recovery(twisted, cn.IndexWindow(0, 7), 1e-10)
     assert isinstance(bad_coc, PhaseRecoveryFailure)
     assert bad_coc.kind == "cocycle"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise.errors import ResourceLimitError, UsageError
-from covnoise.noise import odd_inverse_squares, even_inverse_squares
+from covnoise.noise import (_class_tail, _gamma, _zeta2_enclosure, even_inverse_squares,
+                            odd_inverse_squares)
 
 N = cn.IndexDomain.NATURALS
 Z = cn.IndexDomain.INTEGERS
@@ -176,10 +178,120 @@ def test_phase_invariance_is_bitwise():
 
 
 def test_term_cap_reports_achievable_tolerance():
-    A = cn.chessboard(N, cn.ChessboardParams(0.3))
-    with pytest.raises(ResourceLimitError, match="achievable"):
+    """A row without a row-modulus profile still meets the term cap, and the
+    refusal names a tolerance the cap can reach; the chessboard query that
+    used to meet it is now a short certified sum."""
+    A = cn.seeded_gram(N, 8, seed=2)
+    with pytest.raises(ResourceLimitError, match="achievable") as info:
         cn.noise_value(A, cn.NoiseQuery(0, 2, 1e-10))
+    achievable = float(re.search(r"term cap is (\S+)", str(info.value)).group(1))
+    assert 1e-8 <= achievable <= 2e-8  # c(2) / (cap - 1) plus the rounding allowance
     assert cn.noise_value(A, cn.NoiseQuery(0, 2, 1e-4)).width <= 1e-4
+    params = cn.ChessboardParams(0.3)
+    v = cn.noise_value(cn.chessboard(N, params), cn.NoiseQuery(0, 2, 1e-10))
+    closed = cn.chessboard_noise_closed_form(params, N, 0, 2).value
+    assert v.cutoff <= 100 and v.width <= 1e-10
+    assert v.lower <= closed <= v.upper
+
+
+def test_term_cap_blames_the_index_on_the_naturals():
+    A = cn.seeded_gram(N, 8, seed=2)
+    with pytest.raises(ResourceLimitError, match="no tolerance") as info:
+        cn.noise_value(A, cn.NoiseQuery(10**8 + 5, 2, 1e-2))
+    assert "index 100000005" in str(info.value)
+    with pytest.raises(ResourceLimitError, match="below the diagonal at index 99999990"):
+        cn.noise_value(A, cn.NoiseQuery(99_999_990, 2, 1e-6))
+
+
+def test_class_tail_encloses_hurwitz_zeta():
+    """Each residue-class tail sum_{j > K, j = s mod p} 1/j^2 = zeta(2, j0/p)/p^2
+    lies in the Euler-Maclaurin enclosure: exactly (at 40 digits, 60 where
+    40 cannot resolve the enclosure's width), and as the floats _class_tail
+    returns within the gamma_16 rounding allowance."""
+    mp = pytest.importorskip("mpmath")
+    allowance = _gamma(16)
+    for p in (1, 2, 3):
+        for K in [*range(0, 60), 99, 100, 1000, 12345, 10**6, 10**8]:
+            for s in range(p):
+                j0 = next(j for j in range(K + 1, K + p + 1) if j % p == s)
+                mp.mp.dps = 40 if K <= 1000 else 60
+                exact = mp.zeta(2, mp.mpf(j0) / p) / p**2
+                lo, hi = _zeta2_enclosure(mp.mpf(j0) / p)
+                assert lo / p**2 <= exact <= hi / p**2
+                flo, fhi = _class_tail(K, s, p)
+                assert flo * (1 - allowance) <= exact <= fhi * (1 + allowance)
+    mp.mp.dps = 40
+
+
+def _reference_noise(mp, xi, domain, n, l):
+    """s_n(l) at 40 digits for the constant matrix (xi None) or the
+    chessboard with ones on even index sums, by direct class sums."""
+    ref = (mp.pi / mp.sqrt(3)) ** l
+    w_even, w_odd = mp.mpf(1), (mp.mpf(1) if xi is None else mp.mpf(xi) ** l)
+    up = w_even * mp.pi**2 / 24 + w_odd * mp.pi**2 / 8
+    if domain is Z:
+        lattice = 2 * up
+    else:  # sum_{j <= n} over even and odd j, as differences of Hurwitz zetas
+        even = (mp.zeta(2) - mp.zeta(2, n // 2 + 1)) / 4
+        odd = (mp.zeta(2, mp.mpf(1) / 2) - mp.zeta(2, (n + 1) // 2 + mp.mpf(1) / 2)) / 4
+        lattice = up + w_even * even + w_odd * odd
+    return ref - ref * 3 / mp.pi**2 * lattice
+
+
+@pytest.mark.parametrize("xi", [None, 0.3, 0.7])
+@pytest.mark.parametrize("domain", [N, Z])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_brackets_certified_down_to_the_rounding_floor(xi, domain, l):
+    """Below the rounding floor a query is refused with the smallest
+    achievable tolerance; at that tolerance and above, the bracket holds the
+    40-digit value and is no wider than asked."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    A = cn.constant_one(domain) if xi is None else cn.chessboard(domain, cn.ChessboardParams(xi))
+    for n in ((0, 7, 1000) if domain is N else (0, -3)):
+        with pytest.raises(ResourceLimitError, match="rounding floor") as info:
+            cn.noise_value(A, cn.NoiseQuery(n, l, 1e-18))
+        floor = float(re.search(r"smallest achievable tolerance is (\S+)",
+                                str(info.value)).group(1))
+        assert floor < 1e-11
+        exact = _reference_noise(mp, xi, domain, n, l)
+        for tol in (1e-6, 1e-10, 10.0 * floor, floor):
+            v = cn.noise_value(A, cn.NoiseQuery(n, l, tol))
+            assert v.width <= tol
+            assert mp.mpf(v.lower) <= exact <= mp.mpf(v.upper)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_profiled_rows_need_few_terms(l):
+    """Term-count guard: rows with a declared profile meet tol 1e-10 within
+    a cutoff of 100, wherever the row sits."""
+    matrices = [cn.constant_one(N), cn.constant_one(Z), cn.seeded_torus(N, seed=3),
+                cn.seeded_torus(Z, seed=3)]
+    for xi in (0.0, 0.3, 0.95):
+        matrices += [cn.chessboard(N, cn.ChessboardParams(xi)),
+                     cn.chessboard(Z, cn.ChessboardParams(xi)),
+                     cn.chessboard(Z, cn.ChessboardParams(xi, cn.Orientation.ONE_ON_ODD_SUM))]
+    for A in matrices:
+        for n in ((0, 1, 57, 10**6) if A.domain is N else (-40, 0, 3)):
+            v = cn.noise_value(A, cn.NoiseQuery(n, l, 1e-10))
+            assert v.cutoff <= 100, (A.label, n)
+            assert v.width <= 1e-10
+
+
+def test_asymptotic_reaches_a_large_horizon_on_profiled_rows():
+    """The segment below n is enclosed per class, so horizon 10^8 costs no
+    more than a small one."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    flat = cn.asymptotic_noise_estimate(cn.constant_one(N), 2, horizon=10**8)
+    assert flat.classification is cn.NoiseClassification.ASYMPTOTICALLY_NOISELESS
+    board = cn.asymptotic_noise_estimate(cn.chessboard(N, cn.ChessboardParams(0.5)), 2,
+                                         horizon=10**8)
+    assert board.classification is cn.NoiseClassification.POSITIVE_LIMIT
+    assert board.sample_points == (25_000_000, 50_000_000, 100_000_000)
+    for n, v in zip(board.sample_points, board.samples):
+        assert mp.mpf(v.lower) <= _reference_noise(mp, 0.5, N, n, 2) <= mp.mpf(v.upper)
+        assert v.cutoff <= 100
 
 
 def test_noise_sequence_matches_pointwise():
@@ -201,7 +313,7 @@ def test_chessboard_closed_form_inside_bracket(xi, l):
     for n in (0, 1, 2, 7, 40, 99, 100):
         cf = cn.chessboard_noise_closed_form(cn.ChessboardParams(xi), N, n, l)
         v = cn.noise_value(A, cn.NoiseQuery(n, l, tol))
-        assert v.lower - 1e-9 <= cf.value <= v.upper + 1e-9
+        assert v.lower <= cf.value <= v.upper
 
 
 def test_chessboard_closed_form_tight_spot_checks():
@@ -210,7 +322,7 @@ def test_chessboard_closed_form_tight_spot_checks():
         cf = cn.chessboard_noise_closed_form(cn.ChessboardParams(xi), N, n, l)
         v = cn.noise_value(cn.chessboard(N, cn.ChessboardParams(xi)),
                            cn.NoiseQuery(n, l, 1e-7))
-        assert v.lower - 1e-9 <= cf.value <= v.upper + 1e-9
+        assert v.lower <= cf.value <= v.upper
 
 
 def test_chessboard_closed_form_special_values():
