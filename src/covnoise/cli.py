@@ -122,6 +122,18 @@ def _load_json(text_or_path: str) -> dict:
     return data
 
 
+def _config_number(field: str, value, kind: type):
+    """A config-file value converted with kind (int or float); a value that
+    does not convert, or a bool, is a usage error naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise UsageError(f"config {field} must be {noun}, got {value!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -130,13 +142,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     tolerance = data.get("tolerance")
     window = data.get("window")
     output_format = data.get("format")
-    seed = data.get("seed", 0)
+    seed = _config_number("seed", data.get("seed", 0), int)
+    if tolerance is not None:
+        tolerance = _config_number("tolerance", tolerance, float)
     if isinstance(window, str):
         window = _parse_window(window)
     elif isinstance(window, list):
         if len(window) != 2:
             raise UsageError(f"config window {window!r} must be [lo, hi]")
-        window = IndexWindow(int(window[0]), int(window[1]))
+        window = IndexWindow(*(_config_number("window", end, int) for end in window))
     elif window is not None:
         raise UsageError(f"config window {window!r} must be a string or pair")
 
@@ -150,9 +164,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         output_format = args.format
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    if tolerance is not None:
-        tolerance = float(tolerance)
-    return RunConfig(spec, tolerance, window, output_format, int(seed))
+    return RunConfig(spec, tolerance, window, output_format, seed)
 
 
 def _matrix(cfg: RunConfig) -> StructureMatrix:
@@ -228,9 +240,30 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _operator_payload(window: IndexWindow, entries: np.ndarray) -> dict:
-    flat = [[float(z.real), float(z.imag)] for z in entries.reshape(-1)]
-    return {"window": [window.lo, window.hi], "entries": flat}
+def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
+    """An operator block as JSON ({"window": [lo, hi], "entries": [[re, im],
+    ...]}) or as CSV (n,m,re,im rows): the bytes _render_json and _render_csv
+    give, but each distinct float goes through %.17g once and each document
+    is assembled by one template %.  A covariant block has about 4 N
+    distinct values.  Values are deduplicated by bit pattern, not by value,
+    so -0.0 still prints -0.
+    """
+
+    size = window.size
+    parts = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
+    distinct, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+    text = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    tokens = np.array(text.split("\0")[:-1], dtype=object)[inverse.reshape(size, size, 2)]
+    count = size * size
+    if fmt == "csv":
+        labels = np.array([str(n) for n in window.indices().tolist()], dtype=object)
+        cells = np.empty((size, size, 4), dtype=object)
+        cells[:, :, 0] = labels[:, None]
+        cells[:, :, 1] = labels[None, :]
+        cells[:, :, 2:] = tokens
+        return "n,m,re,im\n" + ("%s,%s,%s,%s\n" * count) % tuple(cells.ravel().tolist())
+    pairs = ", ".join(["[%s, %s]"] * count) % tuple(tokens.ravel().tolist())
+    return '{"window": [%d, %d], "entries": [%s]}\n' % (window.lo, window.hi, pairs)
 
 
 def cmd_noise_table(cfg: RunConfig, l_list: list[int], n_list: list[int],
@@ -284,14 +317,7 @@ def cmd_observable(cfg: RunConfig, x_text: str, moment: int | None,
         op = observable_operator(A, IntervalSet.from_string(x_text), w)
     else:
         op = moment_operator(A, moment, w)
-    payload = _operator_payload(op.window, op.entries)
-    if cfg.fmt("json") == "csv":
-        idx = w.indices()
-        rows = [(int(n), int(m), z.real, z.imag)
-                for i, n in enumerate(idx) for m, z in zip(idx, op.entries[i])]
-        _emit(_render_csv(("n", "m", "re", "im"), rows), out)
-    else:
-        _emit(_render_json(payload), out)
+    _emit(_operator_text(op.window, op.entries, cfg.fmt("json")), out)
     return 0
 
 
@@ -579,15 +605,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", default="0:9", metavar="LO:HI|A,B,..")
     sp.add_argument("--l", default="2", metavar="A,B,..")
+    sp.set_defaults(func=lambda cfg, a: cmd_noise_table(
+        cfg, _parse_int_list(a.l), _parse_int_list(a.n), a.out))
 
     sp = sub.add_parser("asymptotic", help="heuristic large-n classification")
     common(sp)
     sp.add_argument("--l", default="2", metavar="A,B,..")
     sp.add_argument("--horizon", type=int, default=4096)
+    sp.set_defaults(func=lambda cfg, a: cmd_asymptotic(
+        cfg, _parse_int_list(a.l), a.horizon, a.out))
 
     sp = sub.add_parser("verify", help="run a named cross-module check suite")
     common(sp)
     sp.add_argument("--suite", required=True, choices=_SUITES)
+    sp.set_defaults(func=lambda cfg, a: cmd_verify(cfg, a.suite, a.out))
 
     sp = sub.add_parser("observable", help="dump an observable or moment operator")
     common(sp)
@@ -595,53 +626,38 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="interval set, endpoints may use pi")
     sp.add_argument("--moment", type=int, choices=(1, 2),
                     help="dump the moment operator of this order instead")
+    sp.set_defaults(func=lambda cfg, a: cmd_observable(cfg, a.x, a.moment, a.out))
 
     sp = sub.add_parser("covariance-check", help="measure one covariance defect")
     common(sp)
     sp.add_argument("--x", default="0:pi", metavar="A:B,..")
     sp.add_argument("--shift", default="pi/2", metavar="EXPR",
                     help="rotation angle, e.g. pi/3")
+    sp.set_defaults(func=lambda cfg, a: cmd_covariance_check(cfg, a.x, a.shift, a.out))
 
     sp = sub.add_parser("noise-diagonal",
                         help="window diagonal of the noise operator vs brackets")
     common(sp)
     sp.add_argument("--n", default="0", metavar="LO:HI|A,B,..")
+    sp.set_defaults(func=lambda cfg, a: cmd_noise_diagonal(cfg, _parse_int_list(a.n), a.out))
 
     sp = sub.add_parser("schur-growth", help="growth table for the modulus kernel")
     common(sp)
     sp.add_argument("--r", default="5,55,555,5555", metavar="A,B,..")
+    sp.set_defaults(func=lambda cfg, a: cmd_schur_growth(cfg, _parse_int_list(a.r), a.out))
 
     sp = sub.add_parser("hadamard", help="norm separation of Hadamard blocks")
     common(sp)
     sp.add_argument("--p-max", type=int, default=10)
+    sp.set_defaults(func=lambda cfg, a: cmd_hadamard(cfg, a.p_max, a.out))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        out = getattr(args, "out", None)
-        if args.command == "noise-table":
-            return cmd_noise_table(cfg, _parse_int_list(args.l),
-                                   _parse_int_list(args.n), out)
-        if args.command == "asymptotic":
-            return cmd_asymptotic(cfg, _parse_int_list(args.l), args.horizon, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite, out)
-        if args.command == "observable":
-            return cmd_observable(cfg, args.x, args.moment, out)
-        if args.command == "covariance-check":
-            return cmd_covariance_check(cfg, args.x, args.shift, out)
-        if args.command == "noise-diagonal":
-            return cmd_noise_diagonal(cfg, _parse_int_list(args.n), out)
-        if args.command == "schur-growth":
-            return cmd_schur_growth(cfg, _parse_int_list(args.r), out)
-        if args.command == "hadamard":
-            return cmd_hadamard(cfg, args.p_max, out)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(_resolve_config(args), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -651,7 +667,6 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def entry() -> None:

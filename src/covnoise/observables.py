@@ -182,14 +182,33 @@ def _normalized_block(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
     return block
 
 
+def _by_difference(f, size: int) -> np.ndarray:
+    """The size x size grid G[i, j] = f(i - j), from one call of f on the
+    2 size - 1 differences 1 - size .. size - 1 (integer array argument).
+
+    Every covariant kernel depends on n - m only, so this costs O(size)
+    evaluations of f instead of O(size^2); the entries are the same bits
+    as f applied to the dense difference grid, since f acts elementwise.
+    """
+
+    values = f(np.arange(1 - size, size))
+    pos = np.arange(size)
+    return values[pos[:, None] - pos[None, :] + (size - 1)]
+
+
+def _observable(block: np.ndarray, hermitian: bool, X: IntervalSet,
+                w: IndexWindow) -> TruncatedOperator:
+    kernel = _by_difference(lambda q: kernel_by_difference(X, q), w.size)
+    # Keep the kernel bound to a name: an inline `block * f(...)` lets numpy
+    # reuse the temporary in place, which changes the last bits of entries.
+    return TruncatedOperator(w, block * kernel, hermitian=hermitian)
+
+
 def observable_operator(A: StructureMatrix, X: IntervalSet,
                         w: IndexWindow) -> TruncatedOperator:
     """Truncation of E(X): entries A(n, m) i_X(n, m).  A must have unit
     diagonal on w."""
-    block = _normalized_block(A, w)
-    idx = w.indices()
-    kernel = kernel_by_difference(X, idx[:, None] - idx[None, :])
-    return TruncatedOperator(w, block * kernel, hermitian=A.hermitian)
+    return _observable(_normalized_block(A, w), A.hermitian, X, w)
 
 
 def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
@@ -198,13 +217,14 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
 
     Zero in exact arithmetic; what is measured here is rounding in the
     endpoint reduction mod 2pi (fmod is exact, only the float-pi drift
-    enters) plus the complex exponentials.
+    enters) plus the complex exponentials.  A is truncated once and both
+    observables are built (and checked) from that block.
     """
 
-    base = observable_operator(A, X, w).entries
-    shifted = observable_operator(A, shift_interval(X, x), w).entries
-    idx = w.indices()
-    phase = np.exp(1j * (idx[:, None] - idx[None, :]) * x)
+    block = _normalized_block(A, w)
+    base = _observable(block, A.hermitian, X, w).entries
+    shifted = _observable(block, A.hermitian, shift_interval(X, x), w).entries
+    phase = _by_difference(lambda q: np.exp(1j * q * x), w.size)
     return float(np.max(np.abs(phase * base - shifted)))
 
 
@@ -230,8 +250,7 @@ def moment_kernel(k: int, q) -> np.ndarray:
 def moment_operator(A: StructureMatrix, k: int, w: IndexWindow) -> TruncatedOperator:
     """Truncation of the k-th moment operator: entries A(n, m) c_k(n - m)."""
     block = _normalized_block(A, w)
-    idx = w.indices()
-    kernel = moment_kernel(k, idx[:, None] - idx[None, :])
+    kernel = _by_difference(lambda q: moment_kernel(k, q), w.size)
     return TruncatedOperator(w, block * kernel, hermitian=A.hermitian)
 
 

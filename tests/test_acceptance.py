@@ -363,3 +363,22 @@ def test_criterion_10_classification_round_trips():
     assert noiseless_ok, "a torus-valued matrix was not classified noiseless"
     assert positive_ok, "a chessboard was not classified as a positive limit"
     assert recovery_ok, "phase recovery round-trip disagrees with membership"
+
+
+def test_operator_dump_wall_clock(tmp_path):
+    """The two heaviest single-operator CLI calls stay inside their budgets:
+    a 512-wide JSON dump (about 10 MB) and a 1152-wide covariance check."""
+    from covnoise.cli import main
+
+    budgets = ((["observable", "--window", "0:511", "--format", "json"], 0.5),
+               (["covariance-check", "--window", "0:1151"], 0.5))
+    ok = True
+    detail = []
+    for argv, budget in budgets:
+        t0 = time.perf_counter()
+        code = main(argv + ["--out", str(tmp_path / "report.out")])
+        elapsed = time.perf_counter() - t0
+        ok = ok and code == 0 and elapsed <= budget
+        detail.append(f"{argv[0]} {elapsed:.2f}s (budget {budget}s, exit {code})")
+    _line("dump", ok, ", ".join(detail))
+    assert ok

@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covnoise as cn
-from covnoise.cli import main
+from covnoise.cli import _operator_text, _render_csv, _render_json, main
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +96,20 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
                            "--n", "1:1", "--l", "2", "--format", "csv")
     assert code == 0
     assert out.startswith("n,l,")
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"seed": "x"}, "seed"),
+    ({"tolerance": "abc"}, "tolerance"),
+    ({"window": ["a", 3]}, "window"),
+    ({"seed": True}, "seed"),
+])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, data, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--suite", "torus", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config {field} must be")
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -186,6 +202,47 @@ def test_observable_csv_projection(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,m,re,im"
     assert len(lines) == 1 + 9
+
+
+def _reference_dumps(window, entries):
+    """The operator dump as the per-entry recursive serializer writes it."""
+    payload = {"window": [window.lo, window.hi],
+               "entries": [[float(z.real), float(z.imag)] for z in entries.reshape(-1)]}
+    idx = window.indices()
+    rows = [(int(n), int(m), z.real, z.imag)
+            for i, n in enumerate(idx) for m, z in zip(idx, entries[i])]
+    return _render_json(payload), _render_csv(("n", "m", "re", "im"), rows)
+
+
+def _assert_dumps_match(window, entries):
+    ref_json, ref_csv = _reference_dumps(window, entries)
+    assert _operator_text(window, entries, "json") == ref_json
+    assert _operator_text(window, entries, "csv") == ref_csv
+
+
+def test_operator_dump_matches_reference_serializer():
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 1e22, -1e22,
+              1.0 / 3.0, 1.0 / 3.0, -2.5, 1e22]
+    parts = np.resize(np.asarray(values), 2 * 16).reshape(4, 4, 2)
+    parts[0, :3] = [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+    entries = parts.view(np.complex128)[..., 0]
+    for window in (cn.IndexWindow(0, 3), cn.IndexWindow(-2, 1), cn.IndexWindow(-7, -4)):
+        _assert_dumps_match(window, entries)
+    for z in (complex(-0.0, 0.0), complex(tiny, -1e22), 0.5 + 0.5j):
+        for window in (cn.IndexWindow(0, 0), cn.IndexWindow(-3, -3)):
+            _assert_dumps_match(window, np.full((1, 1), z))
+    json_text = _operator_text(cn.IndexWindow(-2, 1), entries, "json")
+    assert json_text.startswith('{"window": [-2, 1], "entries": [[-0, -0], [0, -0], [-0, 0], ')
+
+
+@given(size=st.integers(1, 6), lo=st.integers(-8, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_operator_dump_matches_reference_serializer_random(size, lo, data):
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    parts = data.draw(st.lists(floats, min_size=2 * size * size, max_size=2 * size * size))
+    entries = np.asarray(parts, dtype=float).reshape(size, size, 2).view(np.complex128)
+    _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), entries[..., 0])
 
 
 def test_covariance_check(capsys):

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 import covnoise as cn
 from covnoise.errors import ContractViolationError, UsageError
-from covnoise.observables import TWO_PI, angle_from_string
+from covnoise import observables
+from covnoise.observables import TWO_PI, _by_difference, angle_from_string
 
 N = cn.IndexDomain.NATURALS
 Z = cn.IndexDomain.INTEGERS
@@ -154,6 +155,81 @@ def test_covariance_defect_is_rounding_level(seed):
     X = cn.IntervalSet.from_pairs(ends.reshape(-1, 2))
     x = float(rng.uniform(0.0, TWO_PI))
     assert cn.covariance_defect(A, X, x, w) <= 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _dense_differences(w):
+    idx = w.indices()
+    return idx[:, None] - idx[None, :]
+
+
+@pytest.mark.parametrize("w", [cn.IndexWindow(0, 0), cn.IndexWindow(0, 6),
+                               cn.IndexWindow(0, 511), cn.IndexWindow(-1, -1),
+                               cn.IndexWindow(-3, 3), cn.IndexWindow(-256, 255)])
+def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
+    """Kernels evaluated on the 2N - 1 differences and spread to the grid
+    equal the dense evaluation on idx[:, None] - idx[None, :], and so do
+    the operators built from them."""
+    X = cn.IntervalSet.from_pairs([(0.3, 1.9), (2.5, 5.0)])
+    x = 2.1
+    d = _dense_differences(w)
+    kernels = [lambda q: cn.kernel_by_difference(X, q),
+               lambda q: cn.moment_kernel(1, q),
+               lambda q: cn.moment_kernel(2, q),
+               lambda q: np.exp(1j * q * x)]
+    for f in kernels:
+        assert np.array_equal(_bits(_by_difference(f, w.size)), _bits(f(d)))
+    domain = Z if w.lo < 0 else N
+    A = cn.seeded_gram(domain, 8, seed=4) if domain is N else cn.seeded_torus(domain, seed=4)
+    block = cn.truncate(A, w)
+    kernel = cn.kernel_by_difference(X, d)
+    assert np.array_equal(_bits(cn.observable_operator(A, X, w).entries),
+                          _bits(block * kernel))
+    for k in (1, 2):
+        kernel = cn.moment_kernel(k, d)
+        assert np.array_equal(_bits(cn.moment_operator(A, k, w).entries),
+                              _bits(block * kernel))
+
+
+@pytest.mark.parametrize("A, w", [
+    (cn.seeded_gram(N, 8, seed=5), cn.IndexWindow(0, 255)),
+    (cn.seeded_torus(Z, seed=11), cn.IndexWindow(-128, 127)),
+    (cn.chessboard(Z, cn.ChessboardParams(0.6)), cn.IndexWindow(-100, 99)),
+])
+def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
+    """One truncation serves both observables, and the defect is the same
+    float as from two separate dense truncations and kernels (inline
+    products of fresh temporaries would move its last bits)."""
+    truncations, checked = [], []
+
+    class CountedOperator(cn.TruncatedOperator):
+        def __post_init__(self):
+            checked.append(self.hermitian)
+            super().__post_init__()
+
+    monkeypatch.setattr(observables, "truncate",
+                        lambda *args: truncations.append(1) or cn.truncate(*args))
+    monkeypatch.setattr(observables, "TruncatedOperator", CountedOperator)
+    rng = np.random.default_rng(3)
+    d = _dense_differences(w)
+    block = cn.truncate(A, w)
+    for _ in range(8):
+        ends = np.sort(rng.uniform(0.0, TWO_PI, size=4))
+        X = cn.IntervalSet.from_pairs(ends.reshape(-1, 2))
+        x = float(rng.uniform(0.0, TWO_PI))
+        base_kernel = cn.kernel_by_difference(X, d)
+        base = block * base_kernel
+        shifted_kernel = cn.kernel_by_difference(cn.shift_interval(X, x), d)
+        shifted = block * shifted_kernel
+        phase = np.exp(1j * d * x)
+        expected = float(np.max(np.abs(phase * base - shifted)))
+        before = len(truncations), len(checked)
+        assert cn.covariance_defect(A, X, x, w).hex() == expected.hex()
+        assert (len(truncations), len(checked)) == (before[0] + 1, before[1] + 2)
+        assert checked[-2:] == [A.hermitian] * 2
 
 
 def test_truncated_operator_checks_hermiticity():
