@@ -373,6 +373,8 @@ def cmd_schur_growth(cfg: RunConfig, r_list: list[int], out: str | None) -> int:
 
 
 def cmd_hadamard(cfg: RunConfig, p_max: int, out: str | None) -> int:
+    if not 1 <= p_max <= 12:
+        raise UsageError(f"--p-max must be in [1, 12], got {p_max}")
     rows = []
     all_ok = True
     for p in range(1, p_max + 1):

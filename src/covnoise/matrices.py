@@ -5,7 +5,9 @@ stored array; dense blocks only ever materialize through :func:`truncate`
 on an explicit index window.  Builders cover the constant-one matrix,
 torus matrices e^{i(nu_n - nu_m)} built from a phase sequence, two-tone
 chessboard matrices, and Gram matrices of unit-vector sequences.  Entry
-oracles accept integer scalars or integer numpy arrays and broadcast.
+oracles accept integer scalars or integer numpy arrays and broadcast:
+per-index data (phases, vectors) is fetched for n and m as given, so a
+block costs 2N fetches and a row entry(n, n + offsets) costs k + 1.
 """
 
 from __future__ import annotations
@@ -144,14 +146,9 @@ class StructureMatrix:
     profile: RowModulusProfile | None = None
 
 
-def _broadcast_pair(n, m) -> tuple[np.ndarray, np.ndarray]:
-    return np.broadcast_arrays(np.asarray(n), np.asarray(m))
-
-
 def constant_one(domain: IndexDomain) -> StructureMatrix:
     def entry(n, m):
-        na, _ = _broadcast_pair(n, m)
-        return np.ones(na.shape, dtype=np.complex128)[()]
+        return np.ones(np.broadcast_shapes(np.shape(n), np.shape(m)), dtype=np.complex128)[()]
 
     return StructureMatrix(domain, entry, f"constant_one[{domain.value}]",
                            hermitian=True, profile=UNIMODULAR)
@@ -164,9 +161,8 @@ def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
     nu = phases.nu
 
     def entry(n, m):
-        na, ma = _broadcast_pair(n, m)
-        return np.exp(1j * (np.asarray(nu(na), dtype=float)
-                            - np.asarray(nu(ma), dtype=float)))[()]
+        return np.exp(1j * (np.asarray(nu(n), dtype=float)
+                            - np.asarray(nu(m), dtype=float)))[()]
 
     return StructureMatrix(domain, entry, label or f"torus[{domain.value}]",
                            hermitian=True, profile=UNIMODULAR)
@@ -187,8 +183,7 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
         even_val, odd_val = params.xi, 1.0
 
     def entry(n, m):
-        na, ma = _broadcast_pair(n, m)
-        vals = np.where((na + ma) % 2 == 0, even_val, odd_val)
+        vals = np.where((n + m) % 2 == 0, even_val, odd_val)
         return vals.astype(np.complex128)[()]
 
     # n + (n + j) has the parity of j, so the modulus depends on j mod 2 only
@@ -202,51 +197,41 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
 
 def gram_from_vectors(domain: IndexDomain,
                       vectors: Callable[[np.ndarray], np.ndarray],
-                      label: str | None = None, *,
-                      vectorized: bool = False) -> StructureMatrix:
+                      label: str | None = None) -> StructureMatrix:
     """Gram matrix <v_n, v_m> of a unit-vector sequence; PSD by construction.
 
-    vectors maps an index to a complex vector of fixed dimension.  With
-    vectorized=True it must instead map an integer array of shape (k,) to
-    an array of shape (k, dim).  Any fetched vector whose Euclidean norm
-    deviates from 1 by more than 1e-9 is rejected with a diagnostic.
+    vectors maps an integer index array of shape (k,) to a complex array
+    of shape (k, dim).  The oracle fetches v(n) and v(m) for the index
+    arrays as given and lets numpy broadcast the inner product, so a w x w
+    truncation fetches 2|w| vectors and a row entry(n, n + offsets) with k
+    offsets fetches k + 1 and is one matvec.  Any fetched vector whose
+    Euclidean norm deviates from 1 by more than 1e-9 is rejected with a
+    diagnostic.
     """
 
-    cache: dict[int, np.ndarray] = {}
-
-    def fetch(idx: np.ndarray) -> np.ndarray:
-        if vectorized:
-            rows = np.asarray(vectors(idx), dtype=np.complex128)
-        else:
-            rows = np.asarray([cache.setdefault(int(i), np.asarray(vectors(int(i)), dtype=np.complex128))
-                               for i in idx])
+    def fetch(idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        flat = idx.reshape(-1)
+        rows = np.asarray(vectors(flat), dtype=np.complex128)
         norms = np.linalg.norm(rows, axis=-1)
         bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
         if bad.size:
-            i = int(idx[bad[0]])
-            raise UsageError(f"gram vector at index {i} has norm {norms[bad[0]]!r}, expected 1")
-        return rows
+            raise UsageError(f"gram vector at index {int(flat[bad[0]])} has norm "
+                             f"{norms[bad[0]]!r}, expected 1")
+        return rows.reshape(idx.shape + rows.shape[-1:])
 
     def entry(n, m):
-        na, ma = _broadcast_pair(n, m)
-        flat_n = na.reshape(-1)
-        flat_m = ma.reshape(-1)
-        uniq, inverse = np.unique(np.concatenate([flat_n, flat_m]), return_inverse=True)
-        rows = fetch(uniq)
-        vn = rows[inverse[: flat_n.size]]
-        vm = rows[inverse[flat_n.size:]]
-        out = np.einsum("kd,kd->k", np.conj(vn), vm)
-        return out.reshape(na.shape)[()]
+        return np.einsum("...d,...d->...", np.conj(fetch(n)), fetch(m))[()]
 
     return StructureMatrix(domain, entry, label or f"gram[{domain.value}]", hermitian=True)
 
 
-def truncate(A: StructureMatrix, w: IndexWindow, cap: int | None = None) -> np.ndarray:
-    """Dense complex block A[w x w].  Window side is capped (default 4096,
-    overridable via COVNOISE_MAX_WINDOW or the cap argument)."""
+def truncate(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
+    """Dense complex block A[w x w].  The window side is capped at
+    window_cap(): 4096 unless COVNOISE_MAX_WINDOW overrides it."""
 
     w.validate_for(A.domain)
-    limit = window_cap() if cap is None else cap
+    limit = window_cap()
     if w.size > limit:
         raise ResourceLimitError(
             f"window {w} has side {w.size}, exceeding the cap {limit}; "
@@ -454,7 +439,7 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
     def vectors(idx: np.ndarray) -> np.ndarray:
         return cache.take(_zigzag(np.asarray(idx)))
 
-    return gram_from_vectors(domain, vectors, vectorized=True,
+    return gram_from_vectors(domain, vectors,
                              label=f"seeded_gram(dim={dim},seed={seed})[{domain.value}]")
 
 
@@ -547,7 +532,7 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
                     f"vector list covers indices 0:{rows.shape[0] - 1}, got {arr.min()}..{arr.max()}")
             return rows[arr]
 
-        return gram_from_vectors(domain, vectors, vectorized=True,
+        return gram_from_vectors(domain, vectors,
                                  label=f"gram(list[{rows.shape[0]}])[N]")
 
     raise UsageError(f"unknown matrix kind {kind!r}")

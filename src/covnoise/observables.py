@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import IndexDomain, IndexWindow, StructureMatrix, truncate
+from .matrices import IndexDomain, IndexWindow, StructureMatrix, truncate, window_cap
 
 TWO_PI = 2.0 * math.pi
 _DENSE_CAP = 256
@@ -266,10 +266,17 @@ def noise_operator_diagonal(A: StructureMatrix, n: int,
     The bound is 2/margin on the integers and 1/margin on the naturals,
     where margin is the distance from n to the window edge that truncates
     the sum; naturals windows must start at 0 so the lower side is exact.
-    n must sit inside w with margin at least a quarter of the window size.
+    n must sit inside w with margin at least a quarter of the window size,
+    and w may hold at most window_cap()**2 entries, as many as the largest
+    block truncate allows.
     """
 
     w.validate_for(A.domain)
+    limit = window_cap() ** 2
+    if w.size > limit:
+        raise ResourceLimitError(
+            f"window {w} has {w.size} entries, exceeding the limit {limit} "
+            f"(COVNOISE_MAX_WINDOW squared); raise COVNOISE_MAX_WINDOW to sum it anyway")
     if not (w.lo <= n <= w.hi):
         raise UsageError(f"index {n} is outside the window {w}")
     if A.domain is IndexDomain.NATURALS:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +303,25 @@ def test_hadamard_table(capsys):
         assert float(cells[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [["--p-max", "0"], ["--p-max=-2"], ["--p-max", "13"]])
+def test_hadamard_p_max_out_of_range_is_a_usage_error(capsys, monkeypatch, argv):
+    """Out-of-range orders exit 2 before any block is computed."""
+    def no_blocks(p):
+        raise AssertionError(f"computed block p={p}")
+
+    monkeypatch.setattr("covnoise.cli.sylvester_hadamard_example", no_blocks)
+    code, out, err = run_cli(capsys, "hadamard", *argv)
+    assert code == 2 and out == ""
+    assert "[1, 12]" in err
+
+
+def test_noise_diagonal_huge_window_exits_3(capsys):
+    code, out, err = run_cli(capsys, "noise-diagonal", "--window", "0:1000000000000",
+                             "--n", "500000000000")
+    assert code == 3 and out == ""
+    assert "COVNOISE_MAX_WINDOW" in err and "16777216" in err
+
+
 def test_asymptotic_json(capsys):
     spec = json.dumps({"kind": "chessboard", "domain": "N", "xi": 0.5})
     code, out, _ = run_cli(capsys, "asymptotic", "--matrix", spec,
@@ -336,10 +357,18 @@ def test_verify_all_aggregates_every_suite(capsys):
     assert out.count("\n") == singles
 
 
+def _child_env():
+    """Environment for a child interpreter that imports this covnoise,
+    installed or not."""
+    src = str(Path(cn.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "covnoise.cli", "noise-table", "--n", "0:1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,l,value")
 
@@ -348,6 +377,6 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, covnoise.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise.errors import ContractViolationError, ResourceLimitError, UsageError
+from covnoise import matrices
 from covnoise.matrices import UNIMODULAR, PhaseRecoveryFailure, window_cap
 
 N = cn.IndexDomain.NATURALS
@@ -112,14 +113,150 @@ def test_torus_from_phases_is_rank_one_phase_form():
 
 
 def test_gram_from_vectors_rejects_unnormalized():
-    def vectors(i):
-        return np.asarray([1.0, 1.0]) / math.sqrt(2.0) * (1.0 + (i == 3) * 1e-6)
+    def vectors(idx):
+        scale = 1.0 + (idx == 3) * 1e-6
+        return np.asarray([1.0, 1.0]) / math.sqrt(2.0) * scale[:, None]
 
     A = cn.gram_from_vectors(N, vectors)
     assert abs(complex(A.entry(0, 1)) - 1.0) <= 1e-12
     with pytest.raises(UsageError, match="index 3"):
         A.entry(3, 0)
 
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _captured(monkeypatch, builder, build):
+    """Build a matrix and return it with the callable (gram vectors or
+    torus phases) its builder handed on to matrices.<builder>."""
+    seen = []
+    real = getattr(matrices, builder)
+
+    def spy(domain, arg, *args, **kwargs):
+        seen.append(arg)
+        return real(domain, arg, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(matrices, builder, spy)
+        A = build()
+    return A, seen[0]
+
+
+def _grids(n, m):
+    return np.broadcast_arrays(np.asarray(n), np.asarray(m))
+
+
+def _gram_reference(vectors):
+    """The dedupe recipe the gram oracle replaced: one np.unique pass over
+    both broadcast index grids, then a flat row-by-row inner product."""
+
+    def entry(n, m):
+        na, ma = _grids(n, m)
+        flat_n, flat_m = na.reshape(-1), ma.reshape(-1)
+        uniq, inverse = np.unique(np.concatenate([flat_n, flat_m]), return_inverse=True)
+        rows = np.asarray(vectors(uniq), dtype=np.complex128)
+        vn, vm = rows[inverse[: flat_n.size]], rows[inverse[flat_n.size:]]
+        return np.einsum("kd,kd->k", np.conj(vn), vm).reshape(na.shape)
+
+    return entry
+
+
+def _torus_reference(phases):
+    def entry(n, m):
+        na, ma = _grids(n, m)
+        return np.exp(1j * (np.asarray(phases.nu(na), dtype=float)
+                            - np.asarray(phases.nu(ma), dtype=float)))
+
+    return entry
+
+
+def _with_reference(monkeypatch, kind, domain):
+    """A builder's matrix and an entry oracle that evaluates it on full
+    broadcast index grids, as the oracles did before they broadcast."""
+    if kind == "constant_one":
+        return cn.constant_one(domain), lambda n, m: np.ones(_grids(n, m)[0].shape, complex)
+    if kind.startswith("chessboard"):
+        xi, orientation = ((0.3, cn.Orientation.ONE_ON_EVEN_SUM) if kind == "chessboard"
+                           else (0.6, cn.Orientation.ONE_ON_ODD_SUM))
+        even, odd = (1.0, xi) if orientation is cn.Orientation.ONE_ON_EVEN_SUM else (xi, 1.0)
+
+        def chess(n, m):
+            na, ma = _grids(n, m)
+            return np.where((na + ma) % 2 == 0, even, odd).astype(complex)
+
+        return cn.chessboard(domain, cn.ChessboardParams(xi, orientation)), chess
+    if kind == "seeded_torus":
+        A, phases = _captured(monkeypatch, "torus_from_phases",
+                              lambda: cn.seeded_torus(domain, seed=5))
+        return A, _torus_reference(phases)
+    if kind == "linear_torus":
+        spec = {"kind": "torus", "domain": domain.value,
+                "phases": {"formula": "linear", "slope": 0.4}}
+        A, phases = _captured(monkeypatch, "torus_from_phases",
+                              lambda: cn.matrix_from_spec(spec))
+        return A, _torus_reference(phases)
+    if kind == "gram_list":
+        rng = np.random.default_rng(12)
+        flat = rng.normal(size=(512, 4))
+        flat /= np.linalg.norm(flat, axis=1)[:, None]
+        spec = {"kind": "gram", "domain": "N",
+                "vectors": [[[r[0], r[2]], [r[1], r[3]]] for r in flat.tolist()]}
+        A, vectors = _captured(monkeypatch, "gram_from_vectors",
+                               lambda: cn.matrix_from_spec(spec))
+        return A, _gram_reference(vectors)
+    dim = int(kind.removeprefix("gram"))
+    A, vectors = _captured(monkeypatch, "gram_from_vectors",
+                           lambda: cn.seeded_gram(domain, dim, seed=7))
+    return A, _gram_reference(vectors)
+
+
+_KINDS = ["constant_one", "chessboard", "chessboard_odd", "seeded_torus", "linear_torus",
+          "gram1", "gram3", "gram8"]
+
+
+@pytest.mark.parametrize("kind, domain",
+                         [(k, d) for k in _KINDS for d in (N, Z)] + [("gram_list", N)],
+                         ids=lambda v: v.value if isinstance(v, cn.IndexDomain) else v)
+def test_broadcast_oracles_match_full_grid_evaluation_bit_for_bit(monkeypatch, kind, domain):
+    """Truncations of side 1, 7 and 512 and rows of 2**19 offsets equal the
+    full-grid evaluation (for gram: the np.unique dedupe recipe) bit for bit."""
+    A, reference = _with_reference(monkeypatch, kind, domain)
+    for side in (1, 7, 512):
+        lo = 0 if domain is N else -(side // 2)
+        idx = cn.IndexWindow(lo, lo + side - 1).indices()
+        assert np.array_equal(_bits(cn.truncate(A, cn.IndexWindow(lo, lo + side - 1))),
+                              _bits(reference(idx[:, None], idx[None, :])))
+    if kind == "gram_list":
+        offsets = np.arange(1, 500)
+        starts = [(0, 1), (5, 1)]
+    else:
+        offsets = np.arange(1, 2**19 + 1)
+        starts = [(0, 1), (5, 1)] + ([(-3, 1), (4, -1)] if domain is Z else [])
+    for n, sign in starts:
+        m = n + sign * offsets
+        assert np.array_equal(_bits(A.entry(n, m)), _bits(reference(n, m)))
+    assert np.array_equal(_bits(A.entry(2, 5)), _bits(reference(2, 5)))
+
+
+def test_gram_oracle_fetches_each_side_once(monkeypatch):
+    """A side-N truncation hands 2N indices to vectors and a row of k
+    offsets hands k + 1, each call with a flat index array."""
+    _, vectors = _captured(monkeypatch, "gram_from_vectors",
+                           lambda: cn.seeded_gram(Z, 3, seed=4))
+    shapes = []
+
+    def counted(idx):
+        shapes.append(idx.shape)
+        return vectors(idx)
+
+    A = cn.gram_from_vectors(Z, counted)
+    cn.truncate(A, cn.IndexWindow(-20, 19))
+    assert sum(s[0] for s in shapes) == 2 * 40
+    shapes.clear()
+    A.entry(7, 7 + np.arange(1, 1001))
+    assert sum(s[0] for s in shapes) == 1001
+    assert all(len(s) == 1 for s in shapes)
 
 def test_schur_product_algebra():
     a = cn.chessboard(Z, cn.ChessboardParams(0.5))

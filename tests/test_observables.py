@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,26 @@ def test_noise_diagonal_window_policy():
     big = cn.IndexWindow(0, 300)
     with pytest.raises(cn.ResourceLimitError):
         cn.noise_operator_diagonal_dense(A, 0, big)
+
+
+def test_noise_diagonal_refuses_windows_past_the_truncation_entry_count(monkeypatch):
+    """A window longer than window_cap()**2 entries is refused before its
+    index array exists; the limit itself is accepted."""
+    A = cn.constant_one(Z)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cn.ResourceLimitError, match="COVNOISE_MAX_WINDOW") as info:
+            cn.noise_operator_diagonal(A, 0, cn.IndexWindow(-10**12, 10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(cn.window_cap() ** 2) in str(info.value)
+    assert peak < 1 << 20
+    monkeypatch.setenv("COVNOISE_MAX_WINDOW", "4")
+    value, _ = cn.noise_operator_diagonal(A, 0, cn.IndexWindow(-8, 7))
+    assert math.isfinite(value)
+    with pytest.raises(cn.ResourceLimitError, match="16"):
+        cn.noise_operator_diagonal(A, 0, cn.IndexWindow(-8, 8))
 
 
 def test_projection_defect_trend():
