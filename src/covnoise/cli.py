@@ -404,9 +404,6 @@ class _Suite:
         word = "PASS" if passed else "FAIL"
         self.lines.append("%s %s defect=%.3e" % (word, name, defect))
 
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
 
 def _suite_chessboard(cfg: RunConfig) -> _Suite:
     suite = _Suite()

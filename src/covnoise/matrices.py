@@ -443,11 +443,18 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
                              label=f"seeded_gram(dim={dim},seed={seed})[{domain.value}]")
 
 
-def _complex_from_pair(value) -> complex:
+def _spec_float(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"spec field {field} must be a float, got {value!r}") from exc
+
+
+def _complex_from_pair(value, field: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_spec_float(value, field))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_spec_float(value[0], f"{field}[0]"), _spec_float(value[1], f"{field}[1]"))
     raise UsageError(f"complex values must be numbers or [re, im] pairs, got {value!r}")
 
 
@@ -481,21 +488,21 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
             orientation = Orientation(str(raw).lower())
         except ValueError as exc:
             raise UsageError(f"unknown orientation {raw!r}") from exc
-        return chessboard(domain, ChessboardParams(float(spec["xi"]), orientation))
+        return chessboard(domain, ChessboardParams(_spec_float(spec["xi"], "xi"), orientation))
 
     if kind == "torus":
         phases = spec.get("phases")
         if isinstance(phases, dict):
             if phases.get("formula") != "linear":
                 raise UsageError(f"unknown phase formula {phases.get('formula')!r}")
-            slope = float(phases.get("slope", 0.0))
+            slope = _spec_float(phases.get("slope", 0.0), "phases.slope")
             return torus_from_phases(
                 domain, PhaseSequence(lambda n: slope * np.asarray(n, dtype=float)),
                 label=f"torus(slope={slope:g})[{domain.value}]")
         if isinstance(phases, list):
             if domain is not IndexDomain.NATURALS:
                 raise UsageError("explicit phase arrays index the naturals only")
-            table = np.asarray([float(p) for p in phases])
+            table = np.asarray([_spec_float(p, f"phases[{i}]") for i, p in enumerate(phases)])
 
             def nu(n):
                 arr = np.asarray(n)
@@ -523,7 +530,10 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
             raise UsageError("gram spec needs a nonempty 'vectors' list or a 'seed'/'dim' pair")
         if domain is not IndexDomain.NATURALS:
             raise UsageError("explicit gram vectors index the naturals only")
-        rows = np.asarray([[_complex_from_pair(c) for c in vec] for vec in vecs])
+        if not all(isinstance(vec, list) and vec and len(vec) == len(vecs[0]) for vec in vecs):
+            raise UsageError("gram 'vectors' must be nonempty lists of one length")
+        rows = np.asarray([[_complex_from_pair(c, f"vectors[{i}][{j}]") for j, c in enumerate(vec)]
+                           for i, vec in enumerate(vecs)])
 
         def vectors(idx: np.ndarray) -> np.ndarray:
             arr = np.asarray(idx)

@@ -16,6 +16,7 @@ window tail that is bounded explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ _ALLOWED_ENDPOINT = set("0123456789pi+-*/(). ")
 
 def _eval_endpoint(expr: str) -> float:
     expr = expr.strip()
-    if not expr or not set(expr) <= _ALLOWED_ENDPOINT:
+    if not expr or not set(expr) <= _ALLOWED_ENDPOINT or "**" in expr:
         raise UsageError(f"cannot parse interval endpoint {expr!r}")
     try:
         value = eval(expr, {"__builtins__": {}}, {"pi": math.pi})  # noqa: S307
@@ -120,6 +121,8 @@ def _eval_endpoint(expr: str) -> float:
         raise UsageError(f"cannot parse interval endpoint {expr!r}") from exc
     if not isinstance(value, (int, float)):
         raise UsageError(f"interval endpoint {expr!r} is not a number")
+    if not abs(value) <= sys.float_info.max:
+        raise UsageError(f"interval endpoint {expr!r} is not a finite float")
     return float(value)
 
 

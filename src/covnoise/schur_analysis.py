@@ -17,17 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolationError, ResourceLimitError, UsageError
+from .errors import ContractViolationError, UsageError
 from .observables import IntervalSet, kernel_by_difference
-
-MAX_POWER_ITERATIONS = 10_000
-_RELATIVE_CHANGE = 1e-12
-_EIG_SIZE_LIMIT = 1500
 
 
 class NormMethod(Enum):
     HERMITIAN_EIGEN = "hermitian_eigen"
-    POWER_ITERATION = "power_iteration"
     TOEPLITZ_LANCZOS = "toeplitz_lanczos"
 
 
@@ -35,9 +30,11 @@ class NormMethod(Enum):
 class NormEstimate:
     """Spectral norm estimate.
 
-    lower/upper are set only by the Toeplitz path, where they certify the
-    norm: lower <= ||M|| <= upper after rounding.  The dense paths leave
-    them None.
+    The dense path (HERMITIAN_EIGEN) is one eigensolve: iterations and
+    residual are 0 and lower/upper are None, so its value is not
+    certified.  The Toeplitz path sets lower/upper, which certify the
+    norm: lower <= ||M|| <= upper after rounding; iterations counts its
+    matvecs and residual is the relative width of the bracket.
     """
 
     value: float
@@ -48,53 +45,13 @@ class NormEstimate:
     upper: float | None = None
 
 
-class NormConvergenceError(ResourceLimitError):
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+def operator_norm(M: np.ndarray) -> NormEstimate:
+    """Spectral norm of a dense matrix from one Hermitian eigensolve.
 
-
-def _power_iteration_gram(M: np.ndarray) -> NormEstimate:
-    # Iterates v <- M^H M v; the Rayleigh quotient of the Gram matrix is
-    # |M v|^2, so the norm estimate sqrt(rho) approaches the top singular
-    # value from below.  Deterministic all-ones start, perturbed through
-    # basis vectors if it happens to be annihilated.
-    rows, cols = M.shape
-    if not np.any(M):
-        return NormEstimate(0.0, NormMethod.POWER_ITERATION, 0, 0.0)
-    v = np.ones(cols, dtype=np.complex128) / math.sqrt(cols)
-    basis_next = 0
-    estimate = 0.0
-    for iteration in range(1, MAX_POWER_ITERATIONS + 1):
-        mv = M @ v
-        rho = float(np.real(np.vdot(mv, mv)))
-        if rho == 0.0:
-            if basis_next >= cols:
-                return NormEstimate(0.0, NormMethod.POWER_ITERATION, iteration, 0.0)
-            v = np.zeros(cols, dtype=np.complex128)
-            v[basis_next] = 1.0
-            basis_next += 1
-            continue
-        new_estimate = math.sqrt(rho)
-        change = abs(new_estimate - estimate) / new_estimate
-        estimate = new_estimate
-        if change <= _RELATIVE_CHANGE:
-            return NormEstimate(estimate, NormMethod.POWER_ITERATION, iteration, change)
-        g = M.conj().T @ mv
-        v = g / np.linalg.norm(g)
-    raise NormConvergenceError(
-        f"power iteration did not reach relative change {_RELATIVE_CHANGE:g} in "
-        f"{MAX_POWER_ITERATIONS} iterations; best estimate {estimate:.12g}", estimate)
-
-
-def operator_norm(M: np.ndarray, method: NormMethod | None = None,
-                  eig_size_limit: int = _EIG_SIZE_LIMIT) -> NormEstimate:
-    """Spectral norm of a dense matrix.
-
-    Hermitian inputs within the size limit use a full eigensolve (largest
-    absolute eigenvalue, deterministic); everything else runs power
-    iteration on the Gram product, which handles non-Hermitian inputs and
-    spectra symmetric around zero alike.
+    A Hermitian input (to 1e-12) gives the largest absolute eigenvalue of
+    (M + M^H)/2; any other input, rectangular included, gives the square
+    root of the largest eigenvalue of M^H M.  Deterministic, O(n^3) time
+    and O(n^2) memory, and not certified.
     """
 
     M = np.asarray(M)
@@ -103,19 +60,11 @@ def operator_norm(M: np.ndarray, method: NormMethod | None = None,
     if not np.all(np.isfinite(M.real)) or (np.iscomplexobj(M) and not np.all(np.isfinite(M.imag))):
         raise UsageError("operator norm needs finite entries")
     M = M.astype(np.complex128, copy=False)
-
-    hermitian = (M.shape[0] == M.shape[1]
-                 and float(np.max(np.abs(M - M.conj().T))) <= 1e-12)
-    if method is None:
-        method = (NormMethod.HERMITIAN_EIGEN
-                  if hermitian and M.shape[0] <= eig_size_limit
-                  else NormMethod.POWER_ITERATION)
-    if method is NormMethod.HERMITIAN_EIGEN:
-        if not hermitian:
-            raise UsageError("the eigensolve path needs a Hermitian matrix")
-        eigs = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-        return NormEstimate(float(np.max(np.abs(eigs))), NormMethod.HERMITIAN_EIGEN, 0, 0.0)
-    return _power_iteration_gram(M)
+    if M.shape[0] == M.shape[1] and float(np.max(np.abs(M - M.conj().T))) <= 1e-12:
+        value = float(np.max(np.abs(np.linalg.eigvalsh((M + M.conj().T) / 2.0))))
+    else:
+        value = math.sqrt(max(float(np.linalg.eigvalsh(M.conj().T @ M)[-1]), 0.0))
+    return NormEstimate(value, NormMethod.HERMITIAN_EIGEN, 0, 0.0)
 
 
 def row_sum_bounds(M: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
@@ -310,14 +259,10 @@ class BlockDiagonalReport:
 
 
 def block_diagonal_norm_divergence(p_max: int = 10) -> BlockDiagonalReport:
+    """The direct sum is never formed: its norm is the largest block norm."""
     if not 1 <= p_max <= 10:
         raise UsageError(f"p_max must be in [1, 10], got {p_max}")
-    blocks = [sylvester_hadamard(p) / 2.0 ** (p / 2.0) for p in range(1, p_max + 1)]
-    size = sum(b.shape[0] for b in blocks)
-    full = np.zeros((size, size))
-    offset = 0
-    for b in blocks:
-        full[offset:offset + b.shape[0], offset:offset + b.shape[0]] = b
-        offset += b.shape[0]
-    modulus_norms = tuple(operator_norm(np.abs(b)).value for b in blocks)
-    return BlockDiagonalReport(p_max, full.shape[0], operator_norm(full), modulus_norms)
+    examples = [sylvester_hadamard_example(p) for p in range(1, p_max + 1)]
+    return BlockDiagonalReport(p_max, sum(A.shape[0] for A, _, _ in examples),
+                               max((norm for _, norm, _ in examples), key=lambda e: e.value),
+                               tuple(modulus.value for _, _, modulus in examples))

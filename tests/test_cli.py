@@ -130,6 +130,13 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_spec_number_that_is_not_a_float_exits_2(capsys):
+    code, out, err = run_cli(capsys, "observable", "--matrix",
+                             '{"kind":"chessboard","xi":"x"}')
+    assert code == 2 and out == ""
+    assert err.startswith("error: spec field xi must be a float")
+
+
 def test_below_floor_tolerance_exits_3_and_names_the_floor(capsys):
     spec = '{"kind":"chessboard","domain":"Z","xi":0.5}'
     code, out, err = run_cli(capsys, "noise-table", "--tol", "1e-16", "--matrix", spec,

@@ -456,6 +456,16 @@ def test_matrix_from_spec_round_trips():
     ([], "object"),
     ({"kind": "gram", "domain": "N", "seed": 3}, "dim"),
     ({"kind": "gram", "domain": "N", "seed": 3, "dim": 4, "vectors": [[1.0]]}, "not both"),
+    ({"kind": "chessboard", "xi": "x"}, "field xi "),
+    ({"kind": "chessboard", "xi": None}, "field xi "),
+    ({"kind": "chessboard", "xi": 10**400}, "field xi "),
+    ({"kind": "torus", "phases": {"formula": "linear", "slope": "x"}}, "field phases.slope "),
+    ({"kind": "torus", "phases": ["a", 1]}, r"field phases\[0\] "),
+    ({"kind": "gram", "vectors": [[[1, "x"]]]}, r"field vectors\[0\]\[0\]\[1\] "),
+    ({"kind": "gram", "vectors": [[1.0, [0.0, None]]]}, r"field vectors\[0\]\[1\]\[1\] "),
+    ({"kind": "gram", "vectors": [5]}, "one length"),
+    ({"kind": "gram", "vectors": [[]]}, "one length"),
+    ({"kind": "gram", "vectors": [[[1, 0]], [[1, 0], [0, 0]]]}, "one length"),
 ])
 def test_matrix_from_spec_rejects(spec, needle):
     with pytest.raises(UsageError, match=needle):

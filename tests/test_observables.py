@@ -44,12 +44,15 @@ def test_interval_set_parsing():
     assert cn.IntervalSet.from_string("").intervals == ()
     assert cn.IntervalSet.from_string("pi/4:(1+1)*pi/2").intervals == \
         ((math.pi / 4, math.pi),)
-    for bad in ("0", "0:pi:2", "a:b", "0:import os"):
+    huge = "1" + "0" * 400
+    for bad in ("0", "0:pi:2", "a:b", "0:import os", "0:2**3", "0:10**400",
+                "0:" + huge, "0:" + huge + ".0"):
         with pytest.raises(UsageError):
             cn.IntervalSet.from_string(bad)
     assert angle_from_string("pi/3") == pytest.approx(math.pi / 3, rel=1e-15)
-    with pytest.raises(UsageError):
-        angle_from_string("os.sep")
+    for bad in ("os.sep", "10**400", "9**9**9", huge, "-" + huge):
+        with pytest.raises(UsageError):
+            angle_from_string(bad)
 
 
 def test_complement():

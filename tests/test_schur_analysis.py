@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise.errors import ContractViolationError, UsageError
-from covnoise.schur_analysis import (
-    NormConvergenceError,
-    _half_circle_column,
-    _toeplitz_row_sums,
-)
+from covnoise.schur_analysis import _half_circle_column, _toeplitz_row_sums
 
 # frozen section norms of the half-circle modulus kernel; regression values
 # cross-checked below against the row-sum sandwich and the harmonic bound
@@ -22,20 +18,28 @@ NORM_55 = 1.8907908939598834
 def test_operator_norm_analytic_cases():
     shift = np.asarray([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     est = cn.operator_norm(shift)
-    assert est.method is cn.NormMethod.POWER_ITERATION
-    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.method is cn.NormMethod.HERMITIAN_EIGEN
+    assert est.value == 1.0
     sym = np.asarray([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
     est = cn.operator_norm(sym)
     assert est.method is cn.NormMethod.HERMITIAN_EIGEN
     assert est.value == pytest.approx(3.0, abs=1e-12)
     assert est.iterations == 0 and est.residual == 0.0
+    assert est.lower is None and est.upper is None
     swap = np.asarray([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    est = cn.operator_norm(swap, method=cn.NormMethod.POWER_ITERATION)
-    assert est.value == pytest.approx(1.0, abs=1e-12)  # +-1 spectrum converges
+    assert cn.operator_norm(swap).value == pytest.approx(1.0, abs=1e-15)
+    row = np.asarray([[3.0, 4.0j]])  # rectangular: the norm of the row vector
+    assert cn.operator_norm(row).value == pytest.approx(5.0, rel=1e-15)
+    assert cn.operator_norm(row.T).value == pytest.approx(5.0, rel=1e-15)
     zero = np.zeros((3, 3), dtype=np.complex128)
     assert cn.operator_norm(zero).value == 0.0
+    assert cn.operator_norm(np.zeros((2, 5))).value == 0.0
     with pytest.raises(UsageError):
         cn.operator_norm(np.asarray([[math.nan]]))
+    with pytest.raises(UsageError):
+        cn.operator_norm(np.zeros((0, 3)))
+    with pytest.raises(TypeError):
+        cn.operator_norm(sym, method=cn.NormMethod.HERMITIAN_EIGEN)
 
 
 def test_operator_norm_deterministic():
@@ -46,31 +50,33 @@ def test_operator_norm_deterministic():
     assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=50, deadline=None)
-def test_norm_methods_agree_on_hermitian(seed):
-    """Dense eigensolve and Gram power iteration give the same spectral
-    norm on random Hermitian matrices.
-
-    When the two leading eigenvalues are nearly degenerate the power
-    path may refuse to certify convergence; the estimate it carries in
-    the error must still match (the Rayleigh quotient is trapped in the
-    near-degenerate cluster, so only the certificate is lost)."""
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["hermitian", "square", "wide", "tall"]))
+@settings(max_examples=60, deadline=None)
+def test_operator_norm_matches_svd(seed, shape):
+    """The one eigensolve agrees with the top singular value on Hermitian,
+    non-Hermitian and rectangular complex matrices of sides 1 to 256."""
     rng = np.random.default_rng(seed)
-    size = int(rng.integers(2, 257))
-    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    M = (M + M.conj().T) / 2.0
-    eig = cn.operator_norm(M, method=cn.NormMethod.HERMITIAN_EIGEN)
-    try:
-        pow_ = cn.operator_norm(M, method=cn.NormMethod.POWER_ITERATION)
-    except NormConvergenceError as stalled:
-        # the Rayleigh quotient climbs from below, so the stalled value
-        # undershoots, by no more than the width of the leading cluster
-        assert stalled.estimate <= eig.value * (1.0 + 1e-12)
-        assert abs(eig.value - stalled.estimate) <= 1e-3 * max(1.0, eig.value)
-        return
-    assert abs(eig.value - pow_.value) <= 1e-8 * max(1.0, eig.value)
-    assert pow_.residual <= 1e-9
+    rows, cols = (int(k) for k in rng.integers(1, 257, size=2))
+    if shape in ("hermitian", "square"):
+        cols = rows
+    elif (rows < cols) != (shape == "wide"):
+        rows, cols = cols, rows
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if shape == "hermitian":
+        M = (M + M.conj().T) / 2.0
+    est = cn.operator_norm(M)
+    top = np.linalg.svd(M, compute_uv=False)[0]
+    assert est.method is cn.NormMethod.HERMITIAN_EIGEN
+    assert abs(est.value - top) <= 1e-12 * top
+
+
+def test_dense_norm_inside_toeplitz_bracket():
+    """The dense eigensolve of the r = 55 section lands inside the
+    certified bracket of the FFT/Lanczos path."""
+    dense = cn.operator_norm(cn.half_circle_modulus_section(55))
+    certified = cn.modulus_growth_table((55,))[0].estimate
+    assert dense.method is cn.NormMethod.HERMITIAN_EIGEN
+    assert certified.lower <= dense.value <= certified.upper
 
 
 def test_row_sum_bounds_sandwich_norm():
@@ -222,10 +228,28 @@ def test_block_diagonal_divergence():
         cn.block_diagonal_norm_divergence(11)
 
 
-def test_power_iteration_reports_convergence_metadata():
-    B = cn.half_circle_modulus_section(55)
-    est = cn.operator_norm(B, method=cn.NormMethod.POWER_ITERATION)
-    assert est.iterations > 0
-    assert est.residual <= 1e-9
-    assert isinstance(est, cn.NormEstimate)
-    assert issubclass(NormConvergenceError, cn.ResourceLimitError)
+def test_block_diagonal_norm_is_the_largest_block_norm(monkeypatch):
+    """The direct sum is never formed: the overall estimate is the largest
+    of the block estimates, and no norm is taken of a matrix wider than
+    the largest block."""
+    import covnoise.schur_analysis as S
+
+    sizes = []
+    blocks = [cn.sylvester_hadamard_example(p)[1] for p in range(1, 11)]
+    real_norm = S.operator_norm
+
+    def recording_norm(M):
+        sizes.append(np.asarray(M).shape[0])
+        return real_norm(M)
+
+    monkeypatch.setattr(S, "operator_norm", recording_norm)
+    report = cn.block_diagonal_norm_divergence(10)
+    assert report.overall_norm == max(blocks, key=lambda e: e.value)
+    assert report.overall_norm.method is cn.NormMethod.HERMITIAN_EIGEN
+    assert report.dimension == 2046
+    assert max(sizes) == 1024
+    for p_max in range(1, 11):
+        report = cn.block_diagonal_norm_divergence(p_max)
+        assert abs(report.overall_norm.value - 1.0) <= 1e-9
+        assert report.block_modulus_norms == tuple(
+            cn.sylvester_hadamard_example(p)[2].value for p in range(1, p_max + 1))
