@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import IndexDomain, IndexWindow, StructureMatrix, truncate, window_cap
+from .matrices import (IndexDomain, IndexWindow, StructureMatrix, hermitian_defect,
+                       truncate, window_cap)
 
 TWO_PI = 2.0 * math.pi
 _DENSE_CAP = 256
@@ -158,31 +159,37 @@ def interval_kernel(X: IntervalSet, n: int, m: int) -> complex:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense operator block on a window; validated Hermitian when flagged."""
+    """Dense operator block on a window; validated Hermitian when flagged:
+    densely here, or in O(N) by the builders below (see _covariant)."""
 
     window: IndexWindow
     entries: np.ndarray
     hermitian: bool = True
+    _certified: bool = field(default=False, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.entries.shape != (self.window.size, self.window.size):
             raise UsageError(f"entries shape {self.entries.shape} does not match "
                              f"window {self.window}")
-        if self.hermitian:
-            defect = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        if self.hermitian and not self._certified:
+            defect = hermitian_defect(self.entries)
             if defect > 1e-12:
                 raise ContractViolationError(
                     f"operator flagged Hermitian deviates by {defect:.3e}")
 
 
-def _normalized_block(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
-    w.validate_for(A.domain)
+def _normalized_block(A: StructureMatrix,
+                      w: IndexWindow) -> tuple[np.ndarray, tuple[float, float] | None]:
+    """The w-truncation of A, checked for a unit diagonal, and for a
+    Hermitian A its Hermitian defect and largest modulus (see _covariant)."""
     block = truncate(A, w)
     diag_defect = float(np.max(np.abs(np.diagonal(block) - 1.0)))
     if diag_defect > 1e-12:
         raise UsageError(f"{A.label} is not normalized on {w}: diagonal deviates "
                          f"from 1 by {diag_defect:.3e}")
-    return block
+    if not A.hermitian:
+        return block, None
+    return block, (hermitian_defect(block), float(np.max(np.abs(block))))
 
 
 def _by_difference(f, size: int) -> np.ndarray:
@@ -199,19 +206,52 @@ def _by_difference(f, size: int) -> np.ndarray:
     return values[pos[:, None] - pos[None, :] + (size - 1)]
 
 
-def _observable(block: np.ndarray, hermitian: bool, X: IntervalSet,
-                w: IndexWindow) -> TruncatedOperator:
-    kernel = _by_difference(lambda q: kernel_by_difference(X, q), w.size)
+def _covariant(block: np.ndarray, certificate: tuple[float, float] | None, f,
+               w: IndexWindow) -> TruncatedOperator:
+    """P = block * k(n - m) for k = f, flagged Hermitian when the block is.
+
+    The flag is certified in O(N), not by a dense pass over P.  With d_B, b
+    the block's Hermitian defect and largest modulus, and d_k =
+    max |k(q) - conj(k(-q))|, K = max |k| from the kernel grid's first
+    column k(q) and first row k(-q):
+    |P_nm - conj(P_mn)| <= K d_B + b d_k + 2 sqrt(2) gamma_2 b K.  The exact
+    products differ by k(q)(B_nm - conj(B_mn)) + conj(B_mn)(k(q) -
+    conj(k(-q))), and each rounded complex product is within
+    sqrt(2) gamma_2 |B||k| of its exact value (Higham, Lemma 3.5), with
+    2 sqrt(2) gamma_2 < 6u; the factor 1 + 16u covers the rounding of the
+    four maxima (3u each) and of the bound.  The bound is held to the 1e-12
+    of the dense check.
+    """
+
+    kernel = _by_difference(f, w.size)
     # Keep the kernel bound to a name: an inline `block * f(...)` lets numpy
     # reuse the temporary in place, which changes the last bits of entries.
-    return TruncatedOperator(w, block * kernel, hermitian=hermitian)
+    entries = block * kernel
+    if certificate is not None:
+        block_defect, block_max = certificate
+        column, row = kernel[:, 0], kernel[0, :]
+        kernel_defect = float(np.max(np.abs(column - row.conj())))
+        kernel_max = float(max(np.max(np.abs(column)), np.max(np.abs(row))))
+        u = 2.0 ** -53
+        bound = (kernel_max * block_defect + block_max * kernel_defect
+                 + 6.0 * u * block_max * kernel_max) * (1.0 + 16.0 * u)
+        if not bound <= 1e-12:
+            raise ContractViolationError(
+                f"operator flagged Hermitian deviates by up to {bound:.3e} (block "
+                f"defect {block_defect:.3e}, kernel defect {kernel_defect:.3e})")
+    return TruncatedOperator(w, entries, hermitian=certificate is not None, _certified=True)
+
+
+def _observable(block: np.ndarray, certificate: tuple[float, float] | None,
+                X: IntervalSet, w: IndexWindow) -> TruncatedOperator:
+    return _covariant(block, certificate, lambda q: kernel_by_difference(X, q), w)
 
 
 def observable_operator(A: StructureMatrix, X: IntervalSet,
                         w: IndexWindow) -> TruncatedOperator:
     """Truncation of E(X): entries A(n, m) i_X(n, m).  A must have unit
     diagonal on w."""
-    return _observable(_normalized_block(A, w), A.hermitian, X, w)
+    return _observable(*_normalized_block(A, w), X, w)
 
 
 def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
@@ -220,13 +260,13 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
 
     Zero in exact arithmetic; what is measured here is rounding in the
     endpoint reduction mod 2pi (fmod is exact, only the float-pi drift
-    enters) plus the complex exponentials.  A is truncated once and both
-    observables are built (and checked) from that block.
+    enters) plus the complex exponentials.  A is truncated and checked
+    once and both observables are built from that block.
     """
 
-    block = _normalized_block(A, w)
-    base = _observable(block, A.hermitian, X, w).entries
-    shifted = _observable(block, A.hermitian, shift_interval(X, x), w).entries
+    block, certificate = _normalized_block(A, w)
+    base = _observable(block, certificate, X, w).entries
+    shifted = _observable(block, certificate, shift_interval(X, x), w).entries
     phase = _by_difference(lambda q: np.exp(1j * q * x), w.size)
     return float(np.max(np.abs(phase * base - shifted)))
 
@@ -252,9 +292,7 @@ def moment_kernel(k: int, q) -> np.ndarray:
 
 def moment_operator(A: StructureMatrix, k: int, w: IndexWindow) -> TruncatedOperator:
     """Truncation of the k-th moment operator: entries A(n, m) c_k(n - m)."""
-    block = _normalized_block(A, w)
-    kernel = _by_difference(lambda q: moment_kernel(k, q), w.size)
-    return TruncatedOperator(w, block * kernel, hermitian=A.hermitian)
+    return _covariant(*_normalized_block(A, w), lambda q: moment_kernel(k, q), w)
 
 
 def noise_operator_diagonal(A: StructureMatrix, n: int,

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolationError, UsageError
+from .matrices import hermitian_defect
 from .observables import IntervalSet, kernel_by_difference
 
 
@@ -50,20 +51,24 @@ def operator_norm(M: np.ndarray) -> NormEstimate:
 
     A Hermitian input (to 1e-12) gives the largest absolute eigenvalue of
     (M + M^H)/2; any other input, rectangular included, gives the square
-    root of the largest eigenvalue of M^H M.  Deterministic, O(n^3) time
-    and O(n^2) memory, and not certified.
+    root of the largest eigenvalue of M^H M.  The dtype picks the
+    arithmetic: a complex array is solved in complex128, any other (float,
+    integer, bool) in float64, where M^H is a view and the symmetric solve
+    is about 4x cheaper.  Deterministic, O(n^3) time and O(n^2) memory,
+    and not certified.
     """
 
     M = np.asarray(M)
     if M.ndim != 2 or M.size == 0:
         raise UsageError(f"operator norm needs a nonempty 2-d array, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or (np.iscomplexobj(M) and not np.all(np.isfinite(M.imag))):
+    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
+    if not np.isfinite(M).all():
         raise UsageError("operator norm needs finite entries")
-    M = M.astype(np.complex128, copy=False)
-    if M.shape[0] == M.shape[1] and float(np.max(np.abs(M - M.conj().T))) <= 1e-12:
-        value = float(np.max(np.abs(np.linalg.eigvalsh((M + M.conj().T) / 2.0))))
+    MH = M.conj().T
+    if M.shape[0] == M.shape[1] and hermitian_defect(M) <= 1e-12:
+        value = float(np.max(np.abs(np.linalg.eigvalsh((M + MH) / 2.0))))
     else:
-        value = math.sqrt(max(float(np.linalg.eigvalsh(M.conj().T @ M)[-1]), 0.0))
+        value = math.sqrt(max(float(np.linalg.eigvalsh(MH @ M)[-1]), 0.0))
     return NormEstimate(value, NormMethod.HERMITIAN_EIGEN, 0, 0.0)
 
 
@@ -83,7 +88,7 @@ def row_sum_bounds(M: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
     if low < -tol:
         i, j = np.unravel_index(int(np.argmin(M)), M.shape)
         raise UsageError(f"entry ({i}, {j}) = {low:g} is negative")
-    if float(np.max(np.abs(M - M.T))) > tol:
+    if hermitian_defect(M) > tol:
         raise UsageError("row-sum bounds need a symmetric matrix")
     sums = M.sum(axis=1)
     return float(sums.min()), float(sums.max())

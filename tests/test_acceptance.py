@@ -382,3 +382,26 @@ def test_operator_dump_wall_clock(tmp_path):
         detail.append(f"{argv[0]} {elapsed:.2f}s (budget {budget}s, exit {code})")
     _line("dump", ok, ", ".join(detail))
     assert ok
+
+
+def test_dense_norm_wall_clock(tmp_path):
+    """hadamard --p-max 10, twenty dense norms up to side 1024, all real
+    symmetric, stays inside its budget: about 0.3 s with float64 solves,
+    about 1 s if they are solved in complex128 (2-CPU machine).
+    One untimed p = 8 solve first, since the first threaded BLAS call of a
+    process can stall for about a second while its threads start; the
+    best of three runs is timed, so a burst of load on a shared machine
+    does not decide the result."""
+    from covnoise.cli import main
+
+    cn.sylvester_hadamard_example(8)
+    budget = 0.7
+    times, codes = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        codes.append(main(["hadamard", "--p-max", "10", "--out", str(tmp_path / "h.csv")]))
+        times.append(time.perf_counter() - t0)
+    ok = codes == [0, 0, 0] and min(times) <= budget
+    _line("dense-norm", ok, f"hadamard best of 3 {min(times):.2f}s (budget {budget}s, "
+                            f"exits {codes})")
+    assert ok

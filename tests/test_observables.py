@@ -10,6 +10,7 @@ from scipy.integrate import quad
 import covnoise as cn
 from covnoise.errors import ContractViolationError, UsageError
 from covnoise import observables
+from covnoise.matrices import hermitian_defect
 from covnoise.observables import TWO_PI, _by_difference, angle_from_string
 
 N = cn.IndexDomain.NATURALS
@@ -242,6 +243,80 @@ def test_truncated_operator_checks_hermiticity():
         cn.TruncatedOperator(cn.IndexWindow(0, 1), bad)
     with pytest.raises(UsageError):
         cn.TruncatedOperator(cn.IndexWindow(0, 2), np.eye(2, dtype=np.complex128))
+
+
+def _dense_hermitian_defect(M):
+    """The dense oracle: one full transposed pass."""
+    return float(np.max(np.abs(M - M.conj().T)))
+
+
+@pytest.mark.parametrize("A, w", [
+    (cn.seeded_gram(N, 8, seed=5), cn.IndexWindow(0, 255)),
+    (cn.seeded_torus(Z, seed=11), cn.IndexWindow(-128, 127)),
+    (cn.chessboard(Z, cn.ChessboardParams(0.6)), cn.IndexWindow(-100, 99)),
+    (cn.constant_one(N), cn.IndexWindow(0, 300)),
+])
+def test_covariant_operators_hermitian_against_dense_oracle(A, w, monkeypatch):
+    """Operators certified Hermitian in O(N) pass the dense check, and a
+    covariance call measures the block's defect once: no dense pass runs
+    over any product."""
+    calls = []
+    monkeypatch.setattr(observables, "hermitian_defect",
+                        lambda M: calls.append(M.shape) or hermitian_defect(M))
+    X = cn.IntervalSet.from_pairs([(0.3, 1.9), (2.5, 5.0)])
+    ops = [cn.observable_operator(A, X, w), cn.moment_operator(A, 1, w),
+           cn.moment_operator(A, 2, w)]
+    assert calls == [(w.size, w.size)] * 3
+    for op in ops:
+        assert op.hermitian is True
+        assert _dense_hermitian_defect(op.entries) <= 1e-12
+    calls.clear()
+    cn.covariance_defect(A, X, 0.7, w)
+    assert calls == [(w.size, w.size)]
+
+
+def _broken_hermitian(A):
+    """A flagged Hermitian whose entry (0, 1) drops the conjugate of (1, 0)."""
+    def entry(n, m):
+        out = np.array(A.entry(n, m), dtype=np.complex128)
+        if out.ndim == 2 and out.shape[0] > 1:
+            out[0, 1] = out[1, 0]
+        return out
+    return cn.StructureMatrix(A.domain, entry, "broken", hermitian=True)
+
+
+def test_builders_refuse_non_hermitian_block_and_kernel(monkeypatch):
+    """The O(N) certificate rejects a block that is not Hermitian and a
+    kernel with k(-q) != conj(k(q)), which the dense oracle also rejects;
+    a block flagged non-Hermitian is built unchecked and unflagged."""
+    w = cn.IndexWindow(-20, 20)
+    X = cn.IntervalSet.from_pairs([(0.3, 1.9)])
+    torus = cn.seeded_torus(Z, seed=3)
+    bad = _broken_hermitian(torus)
+    assert _dense_hermitian_defect(cn.truncate(bad, w)) > 1e-12
+    for build in (lambda A: cn.observable_operator(A, X, w),
+                  lambda A: cn.moment_operator(A, 2, w),
+                  lambda A: cn.covariance_defect(A, X, 0.4, w)):
+        with pytest.raises(ContractViolationError, match="block defect"):
+            build(bad)
+    plain = cn.StructureMatrix(Z, bad.entry, "plain", hermitian=False)
+    op = cn.observable_operator(plain, X, w)
+    assert op.hermitian is False
+    assert _dense_hermitian_defect(op.entries) > 1e-12
+
+    original = observables.kernel_by_difference
+    monkeypatch.setattr(observables, "kernel_by_difference",
+                        lambda X, q: original(X, np.abs(q)))  # conjugate dropped
+    with pytest.raises(ContractViolationError, match="kernel defect"):
+        cn.observable_operator(torus, X, w)
+    with pytest.raises(ContractViolationError, match="kernel defect"):
+        cn.covariance_defect(torus, X, 0.4, w)
+    monkeypatch.setattr(observables, "kernel_by_difference", original)
+    moment = observables.moment_kernel
+    monkeypatch.setattr(observables, "moment_kernel",
+                        lambda k, q: moment(k, np.abs(q)))
+    with pytest.raises(ContractViolationError, match="kernel defect"):
+        cn.moment_operator(torus, 1, w)
 
 
 def test_moment_operator_diagonals():

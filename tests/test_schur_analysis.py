@@ -50,30 +50,71 @@ def test_operator_norm_deterministic():
     assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
 
 
-@given(seed=st.integers(0, 10_000), shape=st.sampled_from(["hermitian", "square", "wide", "tall"]))
-@settings(max_examples=60, deadline=None)
+_SHAPES = ["hermitian", "square", "wide", "tall", "real-symmetric", "real-square",
+           "real-wide", "real-tall", "integer", "bool"]
+
+
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from(_SHAPES))
+@settings(max_examples=100, deadline=None)
 def test_operator_norm_matches_svd(seed, shape):
     """The one eigensolve agrees with the top singular value on Hermitian,
-    non-Hermitian and rectangular complex matrices of sides 1 to 256."""
+    non-Hermitian and rectangular complex matrices, on their real float64
+    counterparts and on integer and bool arrays, of sides 1 to 256."""
     rng = np.random.default_rng(seed)
     rows, cols = (int(k) for k in rng.integers(1, 257, size=2))
-    if shape in ("hermitian", "square"):
+    if shape in ("hermitian", "square", "real-symmetric", "real-square"):
         cols = rows
-    elif (rows < cols) != (shape == "wide"):
+    elif shape.endswith(("wide", "tall")) and (rows < cols) != shape.endswith("wide"):
         rows, cols = cols, rows
-    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    if shape == "hermitian":
+    if shape == "integer":
+        M = rng.integers(-9, 10, size=(rows, cols))
+    elif shape == "bool":
+        M = rng.random((rows, cols)) < 0.5
+    elif shape.startswith("real"):
+        M = rng.standard_normal((rows, cols))
+    else:
+        M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if shape in ("hermitian", "real-symmetric"):
         M = (M + M.conj().T) / 2.0
     est = cn.operator_norm(M)
-    top = np.linalg.svd(M, compute_uv=False)[0]
+    top = np.linalg.svd(M.astype(np.result_type(M, np.float64)), compute_uv=False)[0]
     assert est.method is cn.NormMethod.HERMITIAN_EIGEN
     assert abs(est.value - top) <= 1e-12 * top
 
 
+def test_operator_norm_solves_real_input_in_float64(monkeypatch):
+    """The dtype alone picks the arithmetic: real, integer and bool arrays
+    reach eigvalsh as float64, complex ones as complex128 even when every
+    imaginary part is zero."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+    sym = np.asarray([[2.0, 1.0], [1.0, 2.0]])
+    cases = [(sym, np.float64), (np.asarray([[0.0, 1.0], [0.0, 0.0]]), np.float64),
+             (sym.astype(np.float32), np.float64), (np.asarray([[1, 2], [3, 4]]), np.float64),
+             (np.eye(3, dtype=bool), np.float64), (np.ones((2, 3)), np.float64),
+             (sym.astype(np.complex128), np.complex128),
+             (sym.astype(np.complex64), np.complex128),
+             (np.asarray([[0.0, 1.0j], [-1.0j, 0.0]]), np.complex128)]
+    for M, dtype in cases:
+        seen.clear()
+        cn.operator_norm(M)
+        assert seen == [np.dtype(dtype)], (M.dtype, seen)
+    assert cn.operator_norm(sym).value == pytest.approx(3.0, rel=1e-15)
+    assert cn.operator_norm(sym.astype(np.complex128)).value == pytest.approx(3.0, rel=1e-15)
+    with pytest.raises(UsageError):
+        cn.operator_norm(np.asarray([[1.0, math.inf]]))
+    with pytest.raises(UsageError):
+        cn.operator_norm(np.asarray([[1.0, complex(0.0, math.nan)]]))
+
+
 def test_dense_norm_inside_toeplitz_bracket():
-    """The dense eigensolve of the r = 55 section lands inside the
-    certified bracket of the FFT/Lanczos path."""
-    dense = cn.operator_norm(cn.half_circle_modulus_section(55))
+    """The dense eigensolve of the r = 55 section, a real symmetric matrix
+    solved in float64, lands inside the certified bracket of the
+    FFT/Lanczos path."""
+    section = cn.half_circle_modulus_section(55)
+    assert section.dtype == np.float64
+    dense = cn.operator_norm(section)
     certified = cn.modulus_growth_table((55,))[0].estimate
     assert dense.method is cn.NormMethod.HERMITIAN_EIGEN
     assert certified.lower <= dense.value <= certified.upper
