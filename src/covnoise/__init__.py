@@ -14,7 +14,6 @@ from .matrices import (
     chessboard,
     constant_one,
     gram_from_vectors,
-    is_psd_truncation,
     matrix_from_spec,
     modulus,
     phase_conjugate_multiplier,
@@ -32,7 +31,6 @@ from .noise import (
     NoiseClassification,
     NoiseQuery,
     NoiseValue,
-    ProbabilityWeights,
     asymptotic_noise_estimate,
     chessboard_noise_closed_form,
     is_noiseless_z,
@@ -40,7 +38,6 @@ from .noise import (
     moment,
     noise_sequence,
     noise_value,
-    probability_weights,
     reference_moment,
 )
 from .observables import (
@@ -48,12 +45,10 @@ from .observables import (
     TruncatedOperator,
     angle_from_string,
     covariance_defect,
-    interval_kernel,
     kernel_by_difference,
     moment_kernel,
     moment_operator,
     noise_operator_diagonal,
-    noise_operator_diagonal_dense,
     observable_operator,
     shift_interval,
 )
@@ -66,7 +61,6 @@ from .schur_analysis import (
     half_circle_modulus_section,
     modulus_growth_table,
     operator_norm,
-    row_sum_bounds,
     sylvester_hadamard,
     sylvester_hadamard_example,
 )

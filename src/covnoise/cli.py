@@ -11,46 +11,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import (
-    ChessboardParams,
-    IndexDomain,
-    IndexWindow,
-    Orientation,
-    PhaseSequence,
-    StructureMatrix,
-    chessboard,
-    constant_one,
-    matrix_from_spec,
-    seeded_gram,
-    seeded_torus,
-    torus_phase_recovery,
-    truncate,
-)
-from .noise import (
-    NoiseQuery,
-    asymptotic_noise_estimate,
-    chessboard_noise_closed_form,
-    is_noiseless_z,
-    noise_value,
-)
-from .observables import (
-    IntervalSet,
-    angle_from_string,
-    covariance_defect,
-    moment_operator,
-    noise_operator_diagonal,
-    observable_operator,
-)
-from .schur_analysis import modulus_growth_table, operator_norm, sylvester_hadamard_example
+from .matrices import IndexDomain, IndexWindow, StructureMatrix, constant_one, matrix_from_spec
+from .noise import NoiseQuery, asymptotic_noise_estimate, noise_value
+from .observables import (IntervalSet, angle_from_string, covariance_defect, moment_operator,
+                          noise_operator_diagonal, observable_operator)
+from .schur_analysis import modulus_growth_table, sylvester_hadamard_example
 
 _SUITES = ("chessboard", "torus", "covariance", "noise_diagonal", "schur", "all")
+# A config file may serve several subcommands, so each takes all five keys.
+_CONFIG_KEYS = ("matrix", "tolerance", "window", "format", "seed")
 
 
 @dataclass(frozen=True)
@@ -76,28 +51,25 @@ class RunConfig:
         return self.output_format if self.output_format is not None else default
 
 
-def _parse_window(text: str) -> IndexWindow:
+def _parse_range(text: str, what: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"window {text!r} must look like lo:hi")
+        raise UsageError(f"{what} {text!r} must look like lo:hi")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise UsageError(f"window {text!r} must have integer endpoints") from exc
-    return IndexWindow(lo, hi)
+        raise UsageError(f"{what} {text!r} must have integer endpoints") from exc
+
+
+def _parse_window(text: str) -> IndexWindow:
+    return IndexWindow(*_parse_range(text, "window"))
 
 
 def _parse_int_list(text: str) -> list[int]:
     """Either an inclusive range "lo:hi" (possibly empty) or "a,b,c"."""
     text = text.strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"range {text!r} must look like lo:hi")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise UsageError(f"range {text!r} must have integer endpoints") from exc
+        lo, hi = _parse_range(text, "range")
         return list(range(lo, hi + 1))
     try:
         return [int(p) for p in text.split(",") if p.strip() != ""]
@@ -138,6 +110,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
         data = _load_json(args.config)
+    unknown = [key for key in data if key not in _CONFIG_KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}; "
+                         f"accepted keys are {', '.join(_CONFIG_KEYS)}")
     spec = data.get("matrix")
     tolerance = data.get("tolerance")
     window = data.get("window")
@@ -232,12 +208,24 @@ def _render_csv(header: tuple[str, ...], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_text(header: tuple[str, ...], rows, fmt: str, records=None) -> str:
+    """A table report: CSV rows under header, or JSON records, one
+    dict(zip(header, row)) per row unless the command passes its own."""
+    if fmt == "csv":
+        return _render_csv(header, rows)
+    return _render_json([dict(zip(header, row)) for row in rows]
+                        if records is None else records)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {out!r}: {exc.strerror or exc}") from exc
 
 
 def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
@@ -275,13 +263,8 @@ def cmd_noise_table(cfg: RunConfig, l_list: list[int], n_list: list[int],
         for l in l_list:
             v = noise_value(A, NoiseQuery(n, l, tol))
             rows.append((n, l, v.value, v.lower, v.upper, v.cutoff))
-    if cfg.fmt("csv") == "json":
-        records = [{"n": n, "l": l, "value": value, "lower": lower,
-                    "upper": upper, "cutoff": cutoff}
-                   for n, l, value, lower, upper, cutoff in rows]
-        _emit(_render_json(records), out)
-    else:
-        _emit(_render_csv(("n", "l", "value", "lower", "upper", "cutoff"), rows), out)
+    header = ("n", "l", "value", "lower", "upper", "cutoff")
+    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
     return 0
 
 
@@ -302,10 +285,8 @@ def cmd_asymptotic(cfg: RunConfig, l_list: list[int], horizon: int,
                         for n, s in zip(est.sample_points, est.samples)],
         })
         rows.append((l, est.classification.value, est.estimate))
-    if cfg.fmt("csv") == "json":
-        _emit(_render_json(records), out)
-    else:
-        _emit(_render_csv(("l", "classification", "estimate"), rows), out)
+    header = ("l", "classification", "estimate")
+    _emit(_report_text(header, rows, cfg.fmt("csv"), records), out)
     return 0
 
 
@@ -330,11 +311,9 @@ def cmd_covariance_check(cfg: RunConfig, x_text: str, shift_text: str,
     defect = covariance_defect(A, X, x, w)
     passed = defect <= 1e-12
     payload = {"window": [w.lo, w.hi], "shift": x, "defect": defect, "pass": passed}
-    if cfg.fmt("json") == "csv":
-        _emit(_render_csv(("window_lo", "window_hi", "shift", "defect", "pass"),
-                          [(w.lo, w.hi, x, defect, passed)]), out)
-    else:
-        _emit(_render_json(payload), out)
+    header = ("window_lo", "window_hi", "shift", "defect", "pass")
+    _emit(_report_text(header, [(w.lo, w.hi, x, defect, passed)], cfg.fmt("json"),
+                       payload), out)
     return 0 if passed else 1
 
 
@@ -352,23 +331,14 @@ def cmd_noise_diagonal(cfg: RunConfig, n_list: list[int], out: str | None) -> in
         all_ok = all_ok and ok
         rows.append((n, value, tail, s.lower, s.upper, defect, ok))
     header = ("n", "value", "tail_bound", "lower", "upper", "defect", "intersects")
-    if cfg.fmt("csv") == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        _emit(_render_json(records), out)
-    else:
-        _emit(_render_csv(header, rows), out)
+    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
     return 0 if all_ok else 1
 
 
 def cmd_schur_growth(cfg: RunConfig, r_list: list[int], out: str | None) -> int:
-    table = modulus_growth_table(r_list)
-    rows = [(rec.r, rec.min_row_sum, rec.harmonic_bound, rec.norm) for rec in table]
-    if cfg.fmt("csv") == "json":
-        records = [{"r": r, "s_r": s, "u_r": u, "norm": norm}
-                   for r, s, u, norm in rows]
-        _emit(_render_json(records), out)
-    else:
-        _emit(_render_csv(("r", "s_r", "u_r", "norm"), rows), out)
+    rows = [(rec.r, rec.min_row_sum, rec.harmonic_bound, rec.norm)
+            for rec in modulus_growth_table(r_list)]
+    _emit(_report_text(("r", "s_r", "u_r", "norm"), rows, cfg.fmt("csv")), out)
     return 0
 
 
@@ -384,198 +354,32 @@ def cmd_hadamard(cfg: RunConfig, p_max: int, out: str | None) -> int:
         all_ok = all_ok and ok
         rows.append((p, norm.value, mod_norm.value, expected, ok))
     header = ("p", "norm", "modulus_norm", "expected_modulus_norm", "pass")
-    if cfg.fmt("csv") == "json":
-        _emit(_render_json([dict(zip(header, row)) for row in rows]), out)
-    else:
-        _emit(_render_csv(header, rows), out)
+    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
     return 0 if all_ok else 1
 
 
-# The verify suites are fixed cross-module checks; each prints one line per
-# check with its measured defect and the command fails if any line fails.
-
-class _Suite:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.ok = True
-
-    def check(self, name: str, passed: bool, defect: float) -> None:
-        self.ok = self.ok and passed
-        word = "PASS" if passed else "FAIL"
-        self.lines.append("%s %s defect=%.3e" % (word, name, defect))
-
-
-def _suite_chessboard(cfg: RunConfig) -> _Suite:
-    suite = _Suite()
-    for xi in (0.0, 0.3, 0.7, 1.0):
-        A = chessboard(IndexDomain.NATURALS, ChessboardParams(xi))
-        tol = 1e-8 if xi == 1.0 else 1e-5
-        worst = -math.inf
-        good = True
-        for n in (0, 1, 2, 3, 5, 8, 13, 21, 34):
-            for l in (1, 2, 3, 4):
-                v = noise_value(A, NoiseQuery(n, l, tol))
-                cf = chessboard_noise_closed_form(
-                    ChessboardParams(xi), IndexDomain.NATURALS, n, l)
-                overshoot = max(v.lower - cf.value, cf.value - v.upper)
-                worst = max(worst, overshoot)
-                good = good and overshoot <= 0.0
-        suite.check("chessboard-naturals-closed-form xi=%g" % xi, good, max(worst, 0.0))
-    for xi in (0.0, 0.5, 1.0):
-        for orientation, constant in (
-                (Orientation.ONE_ON_EVEN_SUM, math.pi ** 2 / 4.0),
-                (Orientation.ONE_ON_ODD_SUM, math.pi ** 2 / 12.0)):
-            A = chessboard(IndexDomain.INTEGERS, ChessboardParams(xi, orientation))
-            target = (1.0 - xi ** 2) * constant
-            v = noise_value(A, NoiseQuery(0, 2, 1e-8 if xi == 1.0 else 1e-6))
-            defect = max(v.lower - target, target - v.upper, 0.0)
-            suite.check("chessboard-integers %s xi=%g" % (orientation.value, xi),
-                        defect <= 0.0, defect)
-    worst_even = worst_odd = 0.0
-    mono = True
-    for xi in (0.0, 0.3, 0.7, 1.0):
-        params = ChessboardParams(xi)
-        for k in range(0, 25):
-            s0 = chessboard_noise_closed_form(params, IndexDomain.NATURALS, 2 * k, 2).value
-            s1 = chessboard_noise_closed_form(params, IndexDomain.NATURALS, 2 * k + 1, 2).value
-            s2 = chessboard_noise_closed_form(params, IndexDomain.NATURALS, 2 * k + 2, 2).value
-            worst_even = max(worst_even, abs((s0 - s1) - xi ** 2 / (2 * k + 1) ** 2))
-            worst_odd = max(worst_odd, abs((s1 - s2) - 1.0 / (2 * k + 2) ** 2))
-            mono = mono and s0 >= s1 > s2
-    suite.check("difference-identity-even-start", worst_even <= 1e-12, worst_even)
-    suite.check("difference-identity-odd-start", worst_odd <= 1e-12, worst_odd)
-    suite.check("monotone-decrease", mono, 0.0)
-    return suite
-
-
-def _suite_torus(cfg: RunConfig) -> _Suite:
-    suite = _Suite()
-    for domain in (IndexDomain.NATURALS, IndexDomain.INTEGERS):
-        A = seeded_torus(domain, seed=cfg.seed)
-        w = _default_window(domain, 64)
-        recovered = torus_phase_recovery(A, w, 1e-10)
-        if isinstance(recovered, PhaseSequence):
-            idx = w.indices()
-            nu = np.asarray([float(recovered.nu(int(n))) for n in idx])
-            block = truncate(A, w)
-            defect = float(np.max(np.abs(
-                np.exp(1j * (nu[:, None] - nu[None, :])) - block)))
-            suite.check("phase-recovery %s" % domain.value, defect <= 1e-9, defect)
-        else:
-            suite.check("phase-recovery %s" % domain.value, False, math.inf)
-        ref = constant_one(domain)
-        ns = (0, 5, 12) if domain is IndexDomain.NATURALS else (-7, 0, 3)
-        worst = 0.0
-        good = True
-        for n in ns:
-            for l in (1, 2):
-                va = noise_value(A, NoiseQuery(n, l, 1e-8))
-                vb = noise_value(ref, NoiseQuery(n, l, 1e-8))
-                gap = abs(va.value - vb.value)
-                worst = max(worst, gap)
-                good = good and gap <= va.width + vb.width
-        suite.check("torus-noise-matches-constant %s" % domain.value, good, worst)
-    A = seeded_torus(IndexDomain.INTEGERS, seed=cfg.seed)
-    suite.check("torus-integers-noiseless",
-                is_noiseless_z(A, 2, IndexWindow(-5, 5)), 0.0)
-    failure = torus_phase_recovery(
-        chessboard(IndexDomain.INTEGERS, ChessboardParams(0.5)),
-        IndexWindow(-8, 7), 1e-10)
-    suite.check("recovery-rejects-non-torus",
-                not isinstance(failure, PhaseSequence), 0.0)
-    return suite
-
-
-def _suite_covariance(cfg: RunConfig) -> _Suite:
-    suite = _Suite()
-    rng = np.random.default_rng(cfg.seed)
-    for domain in (IndexDomain.NATURALS, IndexDomain.INTEGERS):
-        if domain is IndexDomain.NATURALS:
-            A = seeded_gram(domain, 8, seed=cfg.seed)
-        else:
-            A = seeded_torus(domain, seed=cfg.seed)
-        w = _default_window(domain, 128)
-        worst = 0.0
-        for _ in range(20):
-            count = int(rng.integers(1, 4))
-            ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=2 * count))
-            X = IntervalSet.from_pairs(ends.reshape(-1, 2))
-            x = float(rng.uniform(0.0, 2.0 * math.pi))
-            worst = max(worst, covariance_defect(A, X, x, w))
-        suite.check("covariance %s window=128" % domain.value, worst <= 1e-12, worst)
-    return suite
-
-
-def _suite_noise_diagonal(cfg: RunConfig) -> _Suite:
-    suite = _Suite()
-    cases = (
-        ("constant-integers", constant_one(IndexDomain.INTEGERS)),
-        ("chessboard-integers", chessboard(IndexDomain.INTEGERS, ChessboardParams(0.5))),
-        ("torus-integers", seeded_torus(IndexDomain.INTEGERS, seed=cfg.seed)),
-        ("gram-naturals", seeded_gram(IndexDomain.NATURALS, 8, seed=cfg.seed)),
-    )
-    for name, A in cases:
-        good = True
-        worst = 0.0
-        for size in (128, 256):
-            w = _default_window(A.domain, size)
-            ns = (0, 5) if A.domain is IndexDomain.NATURALS else (-2, 0, 3)
-            for n in ns:
-                value, tail = noise_operator_diagonal(A, n, w)
-                s = noise_value(A, NoiseQuery(n, 2, 1e-6))
-                defect = abs(value - s.value)
-                worst = max(worst, defect)
-                good = good and defect <= tail + s.width
-                good = good and (value - tail <= s.upper) and (s.lower <= value + tail)
-        suite.check("noise-diagonal %s" % name, good, worst)
-    return suite
-
-
-def _suite_schur(cfg: RunConfig) -> _Suite:
-    suite = _Suite()
-    table = modulus_growth_table((5, 55, 555))
-    chain = all(rec.estimate.lower >= rec.min_row_sum > rec.harmonic_bound
-                for rec in table)
-    suite.check("growth-chain r=5,55,555", chain, 0.0)
-    u5 = table[0].harmonic_bound
-    suite.check("harmonic-bound-start", abs(u5 - 23.0 / (15.0 * math.pi)) <= 1e-12,
-                abs(u5 - 23.0 / (15.0 * math.pi)))
-    suite.check("harmonic-bound-growth",
-                table[-1].harmonic_bound - table[0].harmonic_bound > 0.5,
-                table[-1].harmonic_bound - table[0].harmonic_bound)
-    E = observable_operator(constant_one(IndexDomain.NATURALS),
-                            IntervalSet.from_string("0:pi"), IndexWindow(0, 63))
-    norm = operator_norm(E.entries)
-    suite.check("observable-contraction window=64", norm.value <= 1.0 + 1e-9,
-                max(norm.value - 1.0, 0.0))
-    good = True
-    worst = 0.0
-    for p in range(1, 7):
-        _, nrm, mod = sylvester_hadamard_example(p)
-        gap = max(abs(nrm.value - 1.0), abs(mod.value - 2.0 ** (p / 2.0)))
-        worst = max(worst, gap)
-        good = good and gap <= 1e-9
-    suite.check("hadamard-separation p<=6", good, worst)
-    return suite
-
-
 def cmd_verify(cfg: RunConfig, suite_name: str, out: str | None) -> int:
-    runners = {
-        "chessboard": _suite_chessboard,
-        "torus": _suite_torus,
-        "covariance": _suite_covariance,
-        "noise_diagonal": _suite_noise_diagonal,
-        "schur": _suite_schur,
-    }
-    names = list(runners) if suite_name == "all" else [suite_name]
-    lines = []
-    ok = True
-    for name in names:
-        suite = runners[name](cfg)
-        lines.extend(suite.lines)
-        ok = ok and suite.ok
-    _emit("\n".join(lines) + "\n", out)
-    return 0 if ok else 1
+    from . import verify
+
+    suite = verify.run(suite_name, cfg.seed)
+    _emit("\n".join(suite.lines) + "\n", out)
+    return 0 if suite.ok else 1
+
+
+# The shared options, in help order.  Every subcommand takes --config and
+# --out and declares which of the others it reads; argparse refuses the
+# rest (exit 2) before any work starts.
+_SHARED_OPTIONS = {
+    "--config": dict(metavar="FILE",
+                     help="JSON file with matrix/tolerance/window/format/seed"),
+    "--matrix": dict(metavar="SPEC",
+                     help="matrix spec, inline JSON or a path to a JSON file"),
+    "--tol": dict(type=float, metavar="T", help="bracket tolerance"),
+    "--window": dict(metavar="LO:HI", help="index window, e.g. --window=-16:15"),
+    "--format": dict(choices=("csv", "json")),
+    "--seed": dict(type=int, metavar="S", help="seed for the randomized verify suites"),
+    "--out": dict(metavar="FILE", help="write the report here instead of stdout"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -585,70 +389,58 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multiplier growth for structure matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", metavar="FILE",
-                        help="JSON file with matrix/tolerance/window/format/seed")
-        sp.add_argument("--matrix", metavar="SPEC",
-                        help="matrix spec, inline JSON or a path to a JSON file")
-        sp.add_argument("--tol", type=float, metavar="T",
-                        help="bracket tolerance")
-        sp.add_argument("--window", metavar="LO:HI",
-                        help="index window, e.g. --window=-16:15")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--seed", type=int, metavar="S",
-                        help="seed for the randomized suites")
-        sp.add_argument("--out", metavar="FILE",
-                        help="write the report here instead of stdout")
+    def command(name: str, summary: str, reads: tuple[str, ...], func) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        for flag, kwargs in _SHARED_OPTIONS.items():
+            if flag in ("--config", "--out") + reads:
+                sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("noise-table", help="tabulate noise brackets over n and l")
-    common(sp)
+    sp = command("noise-table", "tabulate noise brackets over n and l",
+                 ("--matrix", "--tol", "--format"),
+                 lambda cfg, a: cmd_noise_table(
+                     cfg, _parse_int_list(a.l), _parse_int_list(a.n), a.out))
     sp.add_argument("--n", default="0:9", metavar="LO:HI|A,B,..")
     sp.add_argument("--l", default="2", metavar="A,B,..")
-    sp.set_defaults(func=lambda cfg, a: cmd_noise_table(
-        cfg, _parse_int_list(a.l), _parse_int_list(a.n), a.out))
 
-    sp = sub.add_parser("asymptotic", help="heuristic large-n classification")
-    common(sp)
+    sp = command("asymptotic", "heuristic large-n classification",
+                 ("--matrix", "--tol", "--format"),
+                 lambda cfg, a: cmd_asymptotic(cfg, _parse_int_list(a.l), a.horizon, a.out))
     sp.add_argument("--l", default="2", metavar="A,B,..")
     sp.add_argument("--horizon", type=int, default=4096)
-    sp.set_defaults(func=lambda cfg, a: cmd_asymptotic(
-        cfg, _parse_int_list(a.l), a.horizon, a.out))
 
-    sp = sub.add_parser("verify", help="run a named cross-module check suite")
-    common(sp)
+    sp = command("verify", "run a named cross-module check suite", ("--seed",),
+                 lambda cfg, a: cmd_verify(cfg, a.suite, a.out))
     sp.add_argument("--suite", required=True, choices=_SUITES)
-    sp.set_defaults(func=lambda cfg, a: cmd_verify(cfg, a.suite, a.out))
 
-    sp = sub.add_parser("observable", help="dump an observable or moment operator")
-    common(sp)
+    sp = command("observable", "dump an observable or moment operator",
+                 ("--matrix", "--window", "--format"),
+                 lambda cfg, a: cmd_observable(cfg, a.x, a.moment, a.out))
     sp.add_argument("--x", default="0:pi", metavar="A:B,..",
                     help="interval set, endpoints may use pi")
     sp.add_argument("--moment", type=int, choices=(1, 2),
                     help="dump the moment operator of this order instead")
-    sp.set_defaults(func=lambda cfg, a: cmd_observable(cfg, a.x, a.moment, a.out))
 
-    sp = sub.add_parser("covariance-check", help="measure one covariance defect")
-    common(sp)
+    sp = command("covariance-check", "measure one covariance defect",
+                 ("--matrix", "--window", "--format"),
+                 lambda cfg, a: cmd_covariance_check(cfg, a.x, a.shift, a.out))
     sp.add_argument("--x", default="0:pi", metavar="A:B,..")
     sp.add_argument("--shift", default="pi/2", metavar="EXPR",
                     help="rotation angle, e.g. pi/3")
-    sp.set_defaults(func=lambda cfg, a: cmd_covariance_check(cfg, a.x, a.shift, a.out))
 
-    sp = sub.add_parser("noise-diagonal",
-                        help="window diagonal of the noise operator vs brackets")
-    common(sp)
+    sp = command("noise-diagonal", "window diagonal of the noise operator vs brackets",
+                 ("--matrix", "--tol", "--window", "--format"),
+                 lambda cfg, a: cmd_noise_diagonal(cfg, _parse_int_list(a.n), a.out))
     sp.add_argument("--n", default="0", metavar="LO:HI|A,B,..")
-    sp.set_defaults(func=lambda cfg, a: cmd_noise_diagonal(cfg, _parse_int_list(a.n), a.out))
 
-    sp = sub.add_parser("schur-growth", help="growth table for the modulus kernel")
-    common(sp)
+    sp = command("schur-growth", "growth table for the modulus kernel", ("--format",),
+                 lambda cfg, a: cmd_schur_growth(cfg, _parse_int_list(a.r), a.out))
     sp.add_argument("--r", default="5,55,555,5555", metavar="A,B,..")
-    sp.set_defaults(func=lambda cfg, a: cmd_schur_growth(cfg, _parse_int_list(a.r), a.out))
 
-    sp = sub.add_parser("hadamard", help="norm separation of Hadamard blocks")
-    common(sp)
+    sp = command("hadamard", "norm separation of Hadamard blocks", ("--format",),
+                 lambda cfg, a: cmd_hadamard(cfg, a.p_max, a.out))
     sp.add_argument("--p-max", type=int, default=10)
-    sp.set_defaults(func=lambda cfg, a: cmd_hadamard(cfg, a.p_max, a.out))
 
     return parser
 

@@ -250,25 +250,6 @@ def hermitian_defect(M: np.ndarray) -> float:
                          for i in range(0, M.shape[0], 64)], initial=0.0))
 
 
-def is_psd_truncation(A: StructureMatrix, w: IndexWindow,
-                      tol: float = 1e-10) -> tuple[bool, float]:
-    """Eigenvalue test for positive semidefiniteness of the w-truncation.
-
-    Returns (flag, smallest eigenvalue); flag is true when the smallest
-    eigenvalue is >= -tol.  Rejects blocks that are not Hermitian within
-    1e-12 entrywise, since eigvalsh would silently use one triangle.
-    """
-
-    block = truncate(A, w)
-    defect = hermitian_defect(block)
-    if defect > 1e-12:
-        raise ContractViolationError(
-            f"truncation of {A.label} on {w} deviates from Hermitian by {defect:.3e}")
-    eigs = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-    smallest = float(eigs[0])
-    return smallest >= -tol, smallest
-
-
 def schur_product(a: StructureMatrix, b: StructureMatrix) -> StructureMatrix:
     """Entrywise product; closed on the unit-disk class."""
 

@@ -102,39 +102,6 @@ class NoiseValue:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class ProbabilityWeights:
-    """Row probability measure: weight 3/(pi^2 (k-n)^2) off the center.
-
-    On the naturals the center carries the deficit 1 - c * lattice sum,
-    which is nonnegative; on the integers the center weight is 0 and the
-    off-center weights already sum to 1.
-    """
-
-    domain: IndexDomain
-    center: int
-    center_weight: float
-
-    def weight(self, k):
-        arr = np.asarray(k)
-        if self.domain is IndexDomain.NATURALS and arr.size and arr.min() < 0:
-            raise UsageError("weights on the naturals take indices >= 0")
-        d = arr - self.center
-        safe = np.where(d == 0, 1, d)
-        off = 3.0 / (math.pi**2 * safe.astype(float) ** 2)
-        return np.where(d == 0, self.center_weight, off)[()]
-
-
-def probability_weights(domain: IndexDomain, n: int) -> ProbabilityWeights:
-    if not domain.contains(n):
-        raise UsageError(f"index {n} is not in {domain}")
-    if domain is IndexDomain.INTEGERS:
-        center = 0.0
-    else:
-        center = 1.0 - (3.0 / math.pi**2) * lattice_sum_exact(domain, n)
-    return ProbabilityWeights(domain, n, center)
-
-
 def _tail_coefficient(l: int) -> float:
     # c(l) = (pi/sqrt 3)^l * 3/pi^2; equals 1 at l = 2
     return _REF_BASE**l * 3.0 / math.pi**2

@@ -26,7 +26,6 @@ from .matrices import (IndexDomain, IndexWindow, StructureMatrix, hermitian_defe
                        truncate, window_cap)
 
 TWO_PI = 2.0 * math.pi
-_DENSE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,6 @@ def kernel_by_difference(X: IntervalSet, q) -> np.ndarray:
     safe = np.where(qa == 0.0, 1.0, qa)
     out = acc / (TWO_PI * 1j * safe)
     return np.where(qa == 0.0, X.total_length / TWO_PI, out)[()]
-
-
-def interval_kernel(X: IntervalSet, n: int, m: int) -> complex:
-    return complex(kernel_by_difference(X, np.asarray(n) - np.asarray(m)))
 
 
 @dataclass(frozen=True)
@@ -342,17 +337,3 @@ def noise_operator_diagonal(A: StructureMatrix, n: int,
     contrib = np.abs(row[mask]) ** 2 / d[mask].astype(float) ** 2
     value = 4.0 * math.pi**2 / 3.0 - math.pi**2 - math.fsum(contrib.tolist())
     return value, sides / margin
-
-
-def noise_operator_diagonal_dense(A: StructureMatrix, n: int,
-                                  w: IndexWindow) -> float:
-    """Cross-check path: materialize E[1], E[2] and read the diagonal of
-    E[2] - E[1]^2 directly.  Kept for windows up to side 256."""
-
-    if w.size > _DENSE_CAP:
-        raise ResourceLimitError(f"dense cross-check is limited to side {_DENSE_CAP}, "
-                                 f"window {w} has {w.size}")
-    first = moment_operator(A, 1, w).entries
-    second = moment_operator(A, 2, w).entries
-    noise_block = second - first @ first
-    return float(noise_block[n - w.lo, n - w.lo].real)

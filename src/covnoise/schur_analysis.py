@@ -72,28 +72,6 @@ def operator_norm(M: np.ndarray) -> NormEstimate:
     return NormEstimate(value, NormMethod.HERMITIAN_EIGEN, 0, 0.0)
 
 
-def row_sum_bounds(M: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
-    """(smallest, largest) row sum of an entrywise-nonnegative symmetric
-    matrix; these bracket its norm."""
-
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        raise UsageError(f"row-sum bounds need a nonempty square matrix, got {M.shape}")
-    if np.iscomplexobj(M):
-        if float(np.max(np.abs(M.imag))) > tol:
-            raise UsageError("row-sum bounds need a real matrix")
-        M = M.real
-    M = M.astype(float, copy=False)
-    low = float(M.min())
-    if low < -tol:
-        i, j = np.unravel_index(int(np.argmin(M)), M.shape)
-        raise UsageError(f"entry ({i}, {j}) = {low:g} is negative")
-    if hermitian_defect(M) > tol:
-        raise UsageError("row-sum bounds need a symmetric matrix")
-    sums = M.sum(axis=1)
-    return float(sums.min()), float(sums.max())
-
-
 def _half_circle_column(r: int) -> np.ndarray:
     """First column of the section B_r = |i_{[0,pi]}| on indices 0..r."""
     half = IntervalSet.from_pairs([(0.0, math.pi)])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covnoise as cn
-from covnoise.cli import _operator_text, _render_csv, _render_json, main
+from covnoise import cli, verify
+from covnoise.cli import _operator_text, _render_csv, _render_json, _report_text, main
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +114,29 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, data, field):
     code, out, err = run_cli(capsys, "verify", "--suite", "torus", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith(f"error: config {field} must be")
+
+
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
+    """A misspelt key is refused, not run on defaults; the five keys stay
+    valid in a config given to any subcommand."""
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"tolerence": 1e-3,
+                                "matirx": {"kind": "chessboard", "domain": "N", "xi": 0.3}}))
+    code, out, err = run_cli(capsys, "noise-table", "--config", str(typo), "--n", "0:0")
+    assert code == 2 and out == ""
+    assert "'tolerence'" in err and "matrix, tolerance, window, format, seed" in err
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"matrix": {"kind": "constant_one"}, "tolerance": 1e-3,
+                                "window": "0:3", "format": "json", "seed": 2}))
+    code, out, err = run_cli(capsys, "schur-growth", "--r", "5", "--config", str(full))
+    assert code == 0 and err == "" and json.loads(out)[0]["r"] == 5
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "hadamard", "--p-max", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write the report to") and str(target) in err
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -243,6 +268,27 @@ def test_operator_dump_matches_reference_serializer():
             _assert_dumps_match(window, np.full((1, 1), z))
     json_text = _operator_text(cn.IndexWindow(-2, 1), entries, "json")
     assert json_text.startswith('{"window": [-2, 1], "entries": [[-0, -0], [0, -0], [-0, 0], ')
+    # table reports: header rows as CSV, records dict(zip(header, row)) as JSON
+    header = ("n", "value", "pass")
+    rows = [(0, -0.0, True), (-7, 1.0 / 3.0, False), (10**8, tiny, True)]
+    assert _report_text(header, rows, "csv") == (
+        "n,value,pass\n0,-0,true\n-7,0.33333333333333331,false\n"
+        "100000000,4.9406564584124654e-324,true\n")
+    assert _report_text(header, rows, "json") == (
+        '[{"n": 0, "value": -0, "pass": true}, '
+        '{"n": -7, "value": 0.33333333333333331, "pass": false}, '
+        '{"n": 100000000, "value": 4.9406564584124654e-324, "pass": true}]\n')
+    assert _report_text(header, [], "csv") == "n,value,pass\n"
+    assert _report_text(header, [], "json") == "[]\n"
+    # commands with their own JSON shape: nested samples, one object
+    nested = [{"l": 1, "classification": "positive_limit", "samples": [{"n": 0, "value": 1e22}]}]
+    assert _report_text(("l", "classification"), [(1, "positive_limit")], "json", nested) == (
+        '[{"l": 1, "classification": "positive_limit", "samples": [{"n": 0, "value": 1e+22}]}]\n')
+    single = {"window": [-2, 1], "shift": -2.5, "pass": False}
+    assert _report_text(("window_lo", "window_hi", "shift", "pass"), [(-2, 1, -2.5, False)],
+                        "json", single) == '{"window": [-2, 1], "shift": -2.5, "pass": false}\n'
+    assert _report_text(("window_lo", "window_hi", "shift", "pass"), [(-2, 1, -2.5, False)],
+                        "csv", single) == "window_lo,window_hi,shift,pass\n-2,1,-2.5,false\n"
 
 
 @given(size=st.integers(1, 6), lo=st.integers(-8, 8), data=st.data())
@@ -252,6 +298,11 @@ def test_operator_dump_matches_reference_serializer_random(size, lo, data):
     parts = data.draw(st.lists(floats, min_size=2 * size * size, max_size=2 * size * size))
     entries = np.asarray(parts, dtype=float).reshape(size, size, 2).view(np.complex128)
     _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), entries[..., 0])
+    rows = [(lo + i, re, im) for i, (re, im) in enumerate(np.reshape(parts, (-1, 2)).tolist())]
+    assert _report_text(("n", "re", "im"), rows, "csv") == \
+        "n,re,im\n" + "".join("%d,%.17g,%.17g\n" % row for row in rows)
+    assert _report_text(("n", "re", "im"), rows, "json") == "[" + ", ".join(
+        '{"n": %d, "re": %.17g, "im": %.17g}' % row for row in rows) + "]\n"
 
 
 def test_covariance_check(capsys):
@@ -310,6 +361,53 @@ def test_hadamard_table(capsys):
         assert float(cells[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+# The shared options each subcommand reads, besides its own; the other
+# shared options are refused by argparse.
+SHARED_OPTIONS = ("--config", "--matrix", "--tol", "--window", "--format", "--seed", "--out")
+COMMAND_OPTIONS = {
+    "noise-table": {"--config", "--matrix", "--tol", "--format", "--out", "--n", "--l"},
+    "asymptotic": {"--config", "--matrix", "--tol", "--format", "--out", "--l", "--horizon"},
+    "verify": {"--config", "--seed", "--out", "--suite"},
+    "observable": {"--config", "--matrix", "--window", "--format", "--out", "--x", "--moment"},
+    "covariance-check": {"--config", "--matrix", "--window", "--format", "--out", "--x",
+                         "--shift"},
+    "noise-diagonal": {"--config", "--matrix", "--tol", "--window", "--format", "--out",
+                       "--n"},
+    "schur-growth": {"--config", "--format", "--out", "--r"},
+    "hadamard": {"--config", "--format", "--out", "--p-max"},
+}
+UNREAD = [(command, option) for command, options in COMMAND_OPTIONS.items()
+          for option in SHARED_OPTIONS if option not in options]
+
+
+def test_subcommand_options_match_the_declared_table():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = {name: {flag for action in sp._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+            for name, sp in commands.choices.items()}
+    assert seen == COMMAND_OPTIONS
+    assert sum(len(options) for options in seen.values()) == 47
+    assert len(UNREAD) == 21
+
+
+@pytest.mark.parametrize("command, option", UNREAD)
+def test_unread_options_are_refused_before_any_work(capsys, monkeypatch, command, option):
+    def no_work(*args):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), no_work)
+    base = {"verify": ["--suite", "torus"], "schur-growth": ["--r", "5"],
+            "hadamard": ["--p-max", "1"]}.get(command, [])
+    value = {"--matrix": '{"kind":"nonsense"}', "--tol": "1e-30", "--window": "3:4",
+             "--format": "json", "--seed": "9"}[option]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base, option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and option in captured.err
+
+
 @pytest.mark.parametrize("argv", [["--p-max", "0"], ["--p-max=-2"], ["--p-max", "13"]])
 def test_hadamard_p_max_out_of_range_is_a_usage_error(capsys, monkeypatch, argv):
     """Out-of-range orders exit 2 before any block is computed."""
@@ -362,6 +460,7 @@ def test_verify_all_aggregates_every_suite(capsys):
     for suite in ("chessboard", "torus", "covariance", "noise_diagonal", "schur"):
         singles += run_cli(capsys, "verify", "--suite", suite)[1].count("\n")
     assert out.count("\n") == singles
+    assert cli._SUITES == (*verify.SUITES, "all")
 
 
 def _child_env():

