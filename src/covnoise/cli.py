@@ -1,23 +1,25 @@
 """Command line reports for noise tables, observables and multiplier growth.
 
-One binary, subcommand style.  Configuration precedence is flags over
-config file over defaults.  Reports are deterministic: identical inputs
-produce byte-identical output, with every float printed at 17 significant
-digits.  Exit codes: 0 success, 1 a mathematical check failed, 2 bad
-usage or unparsable input, 3 a resource limit was hit.
+One binary, subcommand style.  A flag beats a --config value, which beats
+the subcommand's built-in default; every input is checked before any work.
+Reports are deterministic: identical inputs produce byte-identical output,
+with every float printed at 17 significant digits.  Exit codes: 0 success,
+1 a mathematical check failed, 2 bad usage, 3 a resource limit was hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import IndexDomain, IndexWindow, StructureMatrix, constant_one, matrix_from_spec
+from .matrices import (IndexDomain, IndexWindow, StructureMatrix, _default_window, constant_one,
+                       matrix_from_spec)
 from .noise import NoiseQuery, asymptotic_noise_estimate, noise_value
 from .observables import (IntervalSet, angle_from_string, covariance_defect, moment_operator,
                           noise_operator_diagonal, observable_operator)
@@ -26,29 +28,8 @@ from .schur_analysis import modulus_growth_table, sylvester_hadamard_example
 _SUITES = ("chessboard", "torus", "covariance", "noise_diagonal", "schur", "all")
 # A config file may serve several subcommands, so each takes all five keys.
 _CONFIG_KEYS = ("matrix", "tolerance", "window", "format", "seed")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by every subcommand."""
-
-    matrix_spec: dict | None = None
-    tolerance: float | None = None
-    window: IndexWindow | None = None
-    output_format: str | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tolerance is not None and not self.tolerance > 0.0:
-            raise UsageError(f"tolerance must be positive, got {self.tolerance}")
-        if self.output_format not in (None, "csv", "json"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
-
-    def tol(self, default: float) -> float:
-        return self.tolerance if self.tolerance is not None else default
-
-    def fmt(self, default: str) -> str:
-        return self.output_format if self.output_format is not None else default
+# The longest --n, --l or --r list; a longer one exits 3 before it is built.
+MAX_LIST_LENGTH = 1_000_000
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -66,15 +47,22 @@ def _parse_window(text: str) -> IndexWindow:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Either an inclusive range "lo:hi" (possibly empty) or "a,b,c"."""
+    """Either an inclusive range "lo:hi" (possibly empty) or "a,b,c", of at
+    most MAX_LIST_LENGTH entries."""
     text = text.strip()
     if ":" in text:
         lo, hi = _parse_range(text, "range")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse integer list {text!r}") from exc
+        values, count = range(lo, hi + 1), hi - lo + 1
+    else:
+        try:
+            values = [int(p) for p in text.split(",") if p.strip() != ""]
+        except ValueError as exc:
+            raise UsageError(f"cannot parse integer list {text!r}") from exc
+        count = len(values)
+    if count > MAX_LIST_LENGTH:
+        raise ResourceLimitError(f"the list {text!r} has {count} entries, more than the cap "
+                                 f"of {MAX_LIST_LENGTH}")
+    return list(values)
 
 
 def _load_json(text_or_path: str) -> dict:
@@ -106,54 +94,92 @@ def _config_number(field: str, value, kind: type):
     raise UsageError(f"config {field} must be {noun}, got {value!r}")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        data = _load_json(args.config)
+def _config_defaults(source: str) -> dict:
+    """The --config file's values as parser defaults, in the form the
+    matching flags take.  Every key is checked whichever subcommand runs;
+    main checks the resolved values as it checks flags."""
+    data = _load_json(source)
     unknown = [key for key in data if key not in _CONFIG_KEYS]
     if unknown:
         raise UsageError(f"unknown config key {unknown[0]!r}; "
                          f"accepted keys are {', '.join(_CONFIG_KEYS)}")
-    spec = data.get("matrix")
-    tolerance = data.get("tolerance")
+    defaults = {}
+    if "seed" in data:
+        defaults["seed"] = _config_number("seed", data["seed"], int)
+    if data.get("tolerance") is not None:
+        defaults["tol"] = _config_number("tolerance", data["tolerance"], float)
     window = data.get("window")
-    output_format = data.get("format")
-    seed = _config_number("seed", data.get("seed", 0), int)
-    if tolerance is not None:
-        tolerance = _config_number("tolerance", tolerance, float)
-    if isinstance(window, str):
-        window = _parse_window(window)
-    elif isinstance(window, list):
+    if isinstance(window, list):
         if len(window) != 2:
             raise UsageError(f"config window {window!r} must be [lo, hi]")
-        window = IndexWindow(*(_config_number("window", end, int) for end in window))
-    elif window is not None:
+        window = "%d:%d" % tuple(_config_number("window", end, int) for end in window)
+    elif window is not None and not isinstance(window, str):
         raise UsageError(f"config window {window!r} must be a string or pair")
-
-    if getattr(args, "matrix", None) is not None:
-        spec = _load_json(args.matrix)
-    if getattr(args, "tol", None) is not None:
-        tolerance = args.tol
-    if getattr(args, "window", None) is not None:
-        window = _parse_window(args.window)
-    if getattr(args, "format", None) is not None:
-        output_format = args.format
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    return RunConfig(spec, tolerance, window, output_format, seed)
+    if window is not None:
+        defaults["window"] = str(_parse_window(window))
+    spec = data.get("matrix")
+    if spec is not None:
+        if not isinstance(spec, dict):
+            raise UsageError(f"matrix spec must be an object, got {type(spec).__name__}")
+        defaults["matrix"] = json.dumps(spec)
+    if data.get("format") is not None:
+        defaults["format"] = data["format"]
+    return defaults
 
 
-def _matrix(cfg: RunConfig) -> StructureMatrix:
-    if cfg.matrix_spec is None:
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Turn the text inputs of args into values, refusing a bad one (exit
+    2) or an over-long list (exit 3) before any work starts."""
+    if args.matrix is not None:
+        args.matrix = _load_json(args.matrix)
+    if args.window is not None:
+        args.window = _parse_window(args.window)
+    if args.tol is not None and not args.tol > 0.0:
+        raise UsageError(f"tolerance must be positive, got {args.tol}")
+    if args.format not in (None, "csv", "json"):
+        raise UsageError(f"unknown output format {args.format!r}")
+    for dest in ("n", "l", "r"):
+        if dest in vars(args):
+            setattr(args, dest, _parse_int_list(getattr(args, dest)))
+    if args.out is not None:
+        _check_out(args.out)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out path in a missing folder, or naming a folder, with
+    the message the write itself would give."""
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write the report to {out!r}: {os.strerror(code)}")
+
+
+def _write(text: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {out!r}: {exc.strerror or exc}") from exc
+
+
+def _matrix(args: argparse.Namespace) -> StructureMatrix:
+    if args.matrix is None:
         return constant_one(IndexDomain.NATURALS)
-    return matrix_from_spec(cfg.matrix_spec)
+    return matrix_from_spec(args.matrix)
 
 
-def _summable_matrix(cfg: RunConfig) -> StructureMatrix:
+def _summable_matrix(args: argparse.Namespace) -> StructureMatrix:
     """The matrix of a command that sums whole rows, which a finite table
     (a torus "phases" list or a gram "vectors" list) cannot supply."""
-    A = _matrix(cfg)
-    spec = cfg.matrix_spec or {}
+    A = _matrix(args)
+    spec = args.matrix or {}
     table = {"torus": "phases", "gram": "vectors"}.get(spec.get("kind"))
     if table is not None and isinstance(spec.get(table), list):
         raise UsageError(
@@ -161,12 +187,6 @@ def _summable_matrix(cfg: RunConfig) -> StructureMatrix:
             f"0:{len(spec[table]) - 1}; tables serve only the windowed commands "
             f"observable and covariance-check, not noise sums over whole rows")
     return A
-
-
-def _default_window(domain: IndexDomain, size: int = 32) -> IndexWindow:
-    if domain is IndexDomain.NATURALS:
-        return IndexWindow(0, size - 1)
-    return IndexWindow(-size // 2, size // 2 - 1)
 
 
 # Deterministic serialization: floats always go through %.17g so repeated
@@ -217,17 +237,6 @@ def _report_text(header: tuple[str, ...], rows, fmt: str, records=None) -> str:
                         if records is None else records)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write the report to {out!r}: {exc.strerror or exc}") from exc
-
-
 def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
     """An operator block as JSON ({"window": [lo, hi], "entries": [[re, im],
     ...]}) or as CSV (n,m,re,im rows): the bytes _render_json and _render_csv
@@ -254,28 +263,23 @@ def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
     return '{"window": [%d, %d], "entries": [%s]}\n' % (window.lo, window.hi, pairs)
 
 
-def cmd_noise_table(cfg: RunConfig, l_list: list[int], n_list: list[int],
-                    out: str | None) -> int:
-    A = _summable_matrix(cfg)
-    tol = cfg.tol(1e-8)
+def cmd_noise_table(args: argparse.Namespace) -> tuple[str, int]:
+    A = _summable_matrix(args)
     rows = []
-    for n in n_list:
-        for l in l_list:
-            v = noise_value(A, NoiseQuery(n, l, tol))
+    for n in args.n:
+        for l in args.l:
+            v = noise_value(A, NoiseQuery(n, l, args.tol))
             rows.append((n, l, v.value, v.lower, v.upper, v.cutoff))
     header = ("n", "l", "value", "lower", "upper", "cutoff")
-    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
-    return 0
+    return _report_text(header, rows, args.format), 0
 
 
-def cmd_asymptotic(cfg: RunConfig, l_list: list[int], horizon: int,
-                   out: str | None) -> int:
-    A = _summable_matrix(cfg)
-    tol = cfg.tol(1e-3)
+def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
+    A = _summable_matrix(args)
     records = []
     rows = []
-    for l in l_list:
-        est = asymptotic_noise_estimate(A, l, tol=tol, horizon=horizon)
+    for l in args.l:
+        est = asymptotic_noise_estimate(A, l, tol=args.tol, horizon=args.horizon)
         records.append({
             "l": l,
             "classification": est.classification.value,
@@ -286,89 +290,74 @@ def cmd_asymptotic(cfg: RunConfig, l_list: list[int], horizon: int,
         })
         rows.append((l, est.classification.value, est.estimate))
     header = ("l", "classification", "estimate")
-    _emit(_report_text(header, rows, cfg.fmt("csv"), records), out)
-    return 0
+    return _report_text(header, rows, args.format, records), 0
 
 
-def cmd_observable(cfg: RunConfig, x_text: str, moment: int | None,
-                   out: str | None) -> int:
-    A = _matrix(cfg)
-    w = cfg.window if cfg.window is not None else _default_window(A.domain)
-    if moment is None:
-        op = observable_operator(A, IntervalSet.from_string(x_text), w)
+def cmd_observable(args: argparse.Namespace) -> tuple[str, int]:
+    A = _matrix(args)
+    w = args.window or _default_window(A.domain)
+    if args.moment is None:
+        op = observable_operator(A, IntervalSet.from_string(args.x), w)
     else:
-        op = moment_operator(A, moment, w)
-    _emit(_operator_text(op.window, op.entries, cfg.fmt("json")), out)
-    return 0
+        op = moment_operator(A, args.moment, w)
+    return _operator_text(op.window, op.entries, args.format), 0
 
 
-def cmd_covariance_check(cfg: RunConfig, x_text: str, shift_text: str,
-                         out: str | None) -> int:
-    A = _matrix(cfg)
-    w = cfg.window if cfg.window is not None else _default_window(A.domain, 128)
-    X = IntervalSet.from_string(x_text)
-    x = angle_from_string(shift_text)
+def cmd_covariance_check(args: argparse.Namespace) -> tuple[str, int]:
+    A = _matrix(args)
+    w = args.window or _default_window(A.domain, 128)
+    X = IntervalSet.from_string(args.x)
+    x = angle_from_string(args.shift)
     defect = covariance_defect(A, X, x, w)
     passed = defect <= 1e-12
     payload = {"window": [w.lo, w.hi], "shift": x, "defect": defect, "pass": passed}
     header = ("window_lo", "window_hi", "shift", "defect", "pass")
-    _emit(_report_text(header, [(w.lo, w.hi, x, defect, passed)], cfg.fmt("json"),
-                       payload), out)
-    return 0 if passed else 1
+    return (_report_text(header, [(w.lo, w.hi, x, defect, passed)], args.format, payload),
+            0 if passed else 1)
 
 
-def cmd_noise_diagonal(cfg: RunConfig, n_list: list[int], out: str | None) -> int:
-    A = _summable_matrix(cfg)
-    w = cfg.window if cfg.window is not None else _default_window(A.domain, 256)
-    tol = cfg.tol(1e-6)
+def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[str, int]:
+    A = _summable_matrix(args)
+    w = args.window or _default_window(A.domain, 256)
     rows = []
-    all_ok = True
-    for n in n_list:
+    for n in args.n:
         value, tail = noise_operator_diagonal(A, n, w)
-        s = noise_value(A, NoiseQuery(n, 2, tol))
-        defect = abs(value - s.value)
+        s = noise_value(A, NoiseQuery(n, 2, args.tol))
         ok = (value - tail <= s.upper) and (s.lower <= value + tail)
-        all_ok = all_ok and ok
-        rows.append((n, value, tail, s.lower, s.upper, defect, ok))
+        rows.append((n, value, tail, s.lower, s.upper, abs(value - s.value), ok))
     header = ("n", "value", "tail_bound", "lower", "upper", "defect", "intersects")
-    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
-    return 0 if all_ok else 1
+    return _report_text(header, rows, args.format), 0 if all(row[-1] for row in rows) else 1
 
 
-def cmd_schur_growth(cfg: RunConfig, r_list: list[int], out: str | None) -> int:
+def cmd_schur_growth(args: argparse.Namespace) -> tuple[str, int]:
     rows = [(rec.r, rec.min_row_sum, rec.harmonic_bound, rec.norm)
-            for rec in modulus_growth_table(r_list)]
-    _emit(_report_text(("r", "s_r", "u_r", "norm"), rows, cfg.fmt("csv")), out)
-    return 0
+            for rec in modulus_growth_table(args.r)]
+    return _report_text(("r", "s_r", "u_r", "norm"), rows, args.format), 0
 
 
-def cmd_hadamard(cfg: RunConfig, p_max: int, out: str | None) -> int:
-    if not 1 <= p_max <= 12:
-        raise UsageError(f"--p-max must be in [1, 12], got {p_max}")
+def cmd_hadamard(args: argparse.Namespace) -> tuple[str, int]:
+    if not 1 <= args.p_max <= 12:
+        raise UsageError(f"--p-max must be in [1, 12], got {args.p_max}")
     rows = []
-    all_ok = True
-    for p in range(1, p_max + 1):
+    for p in range(1, args.p_max + 1):
         _, norm, mod_norm = sylvester_hadamard_example(p)
         expected = 2.0 ** (p / 2.0)
         ok = abs(norm.value - 1.0) <= 1e-9 and abs(mod_norm.value - expected) <= 1e-9
-        all_ok = all_ok and ok
         rows.append((p, norm.value, mod_norm.value, expected, ok))
     header = ("p", "norm", "modulus_norm", "expected_modulus_norm", "pass")
-    _emit(_report_text(header, rows, cfg.fmt("csv")), out)
-    return 0 if all_ok else 1
+    return _report_text(header, rows, args.format), 0 if all(row[-1] for row in rows) else 1
 
 
-def cmd_verify(cfg: RunConfig, suite_name: str, out: str | None) -> int:
-    from . import verify
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    from . import verify  # only this subcommand pays for importing the suites
 
-    suite = verify.run(suite_name, cfg.seed)
-    _emit("\n".join(suite.lines) + "\n", out)
-    return 0 if suite.ok else 1
+    suite = verify.run(args.suite, args.seed)
+    return "\n".join(suite.lines) + "\n", 0 if suite.ok else 1
 
 
 # The shared options, in help order.  Every subcommand takes --config and
-# --out and declares which of the others it reads; argparse refuses the
-# rest (exit 2) before any work starts.
+# --out and declares which of the others it reads, with its built-in
+# default; argparse refuses the rest (exit 2) before any work starts.
 _SHARED_OPTIONS = {
     "--config": dict(metavar="FILE",
                      help="JSON file with matrix/tolerance/window/format/seed"),
@@ -382,73 +371,78 @@ _SHARED_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="covnoise",
         description="Noise sequences, covariant observables and Schur "
                     "multiplier growth for structure matrices.")
+    # Every namespace carries the five config values, read or not.
+    parser.set_defaults(matrix=None, tol=None, window=None, format=None, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, reads: tuple[str, ...], func) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, func, **reads) -> argparse.ArgumentParser:
+        # reads maps each shared option read, --tol as tol, to its default
         sp = sub.add_parser(name, help=summary)
         for flag, kwargs in _SHARED_OPTIONS.items():
-            if flag in ("--config", "--out") + reads:
-                sp.add_argument(flag, **kwargs)
+            dest = flag[2:]
+            if dest in ("config", "out") or dest in reads:
+                sp.add_argument(flag, default=reads.get(dest), **kwargs)
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("noise-table", "tabulate noise brackets over n and l",
-                 ("--matrix", "--tol", "--format"),
-                 lambda cfg, a: cmd_noise_table(
-                     cfg, _parse_int_list(a.l), _parse_int_list(a.n), a.out))
+    sp = command("noise-table", "tabulate noise brackets over n and l", cmd_noise_table,
+                 matrix=None, tol=1e-8, format="csv")
     sp.add_argument("--n", default="0:9", metavar="LO:HI|A,B,..")
     sp.add_argument("--l", default="2", metavar="A,B,..")
 
-    sp = command("asymptotic", "heuristic large-n classification",
-                 ("--matrix", "--tol", "--format"),
-                 lambda cfg, a: cmd_asymptotic(cfg, _parse_int_list(a.l), a.horizon, a.out))
+    sp = command("asymptotic", "heuristic large-n classification", cmd_asymptotic,
+                 matrix=None, tol=1e-3, format="csv")
     sp.add_argument("--l", default="2", metavar="A,B,..")
     sp.add_argument("--horizon", type=int, default=4096)
 
-    sp = command("verify", "run a named cross-module check suite", ("--seed",),
-                 lambda cfg, a: cmd_verify(cfg, a.suite, a.out))
+    sp = command("verify", "run a named cross-module check suite", cmd_verify, seed=0)
     sp.add_argument("--suite", required=True, choices=_SUITES)
 
-    sp = command("observable", "dump an observable or moment operator",
-                 ("--matrix", "--window", "--format"),
-                 lambda cfg, a: cmd_observable(cfg, a.x, a.moment, a.out))
+    sp = command("observable", "dump an observable or moment operator", cmd_observable,
+                 matrix=None, window=None, format="json")
     sp.add_argument("--x", default="0:pi", metavar="A:B,..",
                     help="interval set, endpoints may use pi")
     sp.add_argument("--moment", type=int, choices=(1, 2),
                     help="dump the moment operator of this order instead")
 
-    sp = command("covariance-check", "measure one covariance defect",
-                 ("--matrix", "--window", "--format"),
-                 lambda cfg, a: cmd_covariance_check(cfg, a.x, a.shift, a.out))
+    sp = command("covariance-check", "measure one covariance defect", cmd_covariance_check,
+                 matrix=None, window=None, format="json")
     sp.add_argument("--x", default="0:pi", metavar="A:B,..")
     sp.add_argument("--shift", default="pi/2", metavar="EXPR",
                     help="rotation angle, e.g. pi/3")
 
     sp = command("noise-diagonal", "window diagonal of the noise operator vs brackets",
-                 ("--matrix", "--tol", "--window", "--format"),
-                 lambda cfg, a: cmd_noise_diagonal(cfg, _parse_int_list(a.n), a.out))
+                 cmd_noise_diagonal, matrix=None, tol=1e-6, window=None, format="csv")
     sp.add_argument("--n", default="0", metavar="LO:HI|A,B,..")
 
-    sp = command("schur-growth", "growth table for the modulus kernel", ("--format",),
-                 lambda cfg, a: cmd_schur_growth(cfg, _parse_int_list(a.r), a.out))
+    sp = command("schur-growth", "growth table for the modulus kernel", cmd_schur_growth,
+                 format="csv")
     sp.add_argument("--r", default="5,55,555,5555", metavar="A,B,..")
 
-    sp = command("hadamard", "norm separation of Hadamard blocks", ("--format",),
-                 lambda cfg, a: cmd_hadamard(cfg, a.p_max, a.out))
+    sp = command("hadamard", "norm separation of Hadamard blocks", cmd_hadamard,
+                 format="csv")
     sp.add_argument("--p-max", type=int, default=10)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(_resolve_config(args), args)
+        if args.config is not None:
+            commands[args.command].set_defaults(**_config_defaults(args.config))
+            args = parser.parse_args(argv)
+        _check_inputs(args)
+        text, code = args.func(args)
+        _write(text, args.out)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

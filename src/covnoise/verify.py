@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .cli import _default_window
 from .matrices import (ChessboardParams, IndexDomain, IndexWindow, Orientation, PhaseSequence,
-                       chessboard, constant_one, seeded_gram, seeded_torus,
+                       _default_window, chessboard, constant_one, seeded_gram, seeded_torus,
                        torus_phase_recovery, truncate)
 from .noise import NoiseQuery, chessboard_noise_closed_form, is_noiseless_z, noise_value
 from .observables import (IntervalSet, covariance_defect, noise_operator_diagonal,

@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -82,6 +81,47 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+CHESS_N = {"kind": "chessboard", "domain": "N", "xi": 0.3}
+TORUS_Z = {"kind": "torus", "domain": "Z", "phases": {"formula": "linear", "slope": 0.4}}
+# Per subcommand: its own arguments, then two distinct values (A, B) of each
+# shared option it reads, given as (config key, config value, flag value).
+PRECEDENCE_CASES = {
+    "noise-table": (["--n", "1:2", "--l", "2"], {
+        "--matrix": [("matrix", CHESS_N, json.dumps(CHESS_N)),
+                     ("matrix", {"kind": "constant_one"}, '{"kind": "constant_one"}')],
+        "--tol": [("tolerance", 1e-5, "1e-5"), ("tolerance", "1e-4", "1e-4")],
+        "--format": [("format", "json", "json"), ("format", "csv", "csv")]}),
+    "asymptotic": (["--l", "1", "--horizon", "256"], {
+        "--matrix": [("matrix", CHESS_N, json.dumps(CHESS_N)),
+                     ("matrix", {"kind": "constant_one"}, '{"kind": "constant_one"}')],
+        "--tol": [("tolerance", 1e-2, "1e-2"), ("tolerance", 1e-3, "1e-3")],
+        "--format": [("format", "json", "json"), ("format", "csv", "csv")]}),
+    "verify": (["--suite", "torus"], {
+        "--seed": [("seed", 1, "1"), ("seed", "2", "2")]}),
+    "observable": ([], {
+        "--matrix": [("matrix", TORUS_Z, json.dumps(TORUS_Z)),
+                     ("matrix", {"kind": "constant_one", "domain": "Z"},
+                      '{"kind": "constant_one", "domain": "Z"}')],
+        "--window": [("window", [0, 3], "0:3"), ("window", "1:5", "1:5")],
+        "--format": [("format", "csv", "csv"), ("format", "json", "json")]}),
+    "covariance-check": (["--shift", "pi/3"], {
+        "--matrix": [("matrix", TORUS_Z, json.dumps(TORUS_Z)),
+                     ("matrix", CHESS_N, json.dumps(CHESS_N))],
+        "--window": [("window", "0:7", "0:7"), ("window", [2, 5], "2:5")],
+        "--format": [("format", "csv", "csv"), ("format", "json", "json")]}),
+    "noise-diagonal": (["--n", "0"], {
+        "--matrix": [("matrix", CHESS_N, json.dumps(CHESS_N)),
+                     ("matrix", {"kind": "constant_one"}, '{"kind": "constant_one"}')],
+        "--tol": [("tolerance", 1e-5, "1e-5"), ("tolerance", 1e-4, "1e-4")],
+        "--window": [("window", [0, 63], "0:63"), ("window", "0:127", "0:127")],
+        "--format": [("format", "json", "json"), ("format", "csv", "csv")]}),
+    "schur-growth": (["--r", "5"], {
+        "--format": [("format", "json", "json"), ("format", "csv", "csv")]}),
+    "hadamard": (["--p-max", "2"], {
+        "--format": [("format", "json", "json"), ("format", "csv", "csv")]}),
+}
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -100,6 +140,22 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
                            "--n", "1:1", "--l", "2", "--format", "csv")
     assert code == 0
     assert out.startswith("n,l,")
+
+    # Every subcommand, every shared option it reads: a value gives the same
+    # bytes from a flag as from the file, and a flag beats the file.
+    assert set(PRECEDENCE_CASES) == set(COMMAND_OPTIONS)
+    for command, (own, options) in PRECEDENCE_CASES.items():
+        assert set(options) == COMMAND_OPTIONS[command] & set(SHARED_OPTIONS[1:-1])
+        for option, ((key_a, file_a, flag_a), (key_b, file_b, _)) in options.items():
+            path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+            path_a.write_text(json.dumps({key_a: file_a}))
+            path_b.write_text(json.dumps({key_b: file_b}))
+            by_flag = run_cli(capsys, command, *own, option, flag_a)
+            assert by_flag[0] in (0, 1) and by_flag[2] == "", (command, option, by_flag)
+            assert run_cli(capsys, command, *own, "--config", str(path_a)) == by_flag
+            assert run_cli(capsys, command, *own, "--config", str(path_b),
+                           option, flag_a) == by_flag
+            assert run_cli(capsys, command, *own, "--config", str(path_b)) != by_flag
 
 
 @pytest.mark.parametrize("data, field", [
@@ -137,6 +193,67 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "hadamard", "--p-max", "2", "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write the report to") and str(target) in err
+
+
+@pytest.mark.parametrize("where", ["missing folder", "folder", "file as folder"])
+def test_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, where):
+    """A target in a missing folder, or one that is a folder, exits 2 naming
+    the path before any block is computed, and creates nothing."""
+    def no_blocks(p):
+        raise AssertionError(f"computed block p={p}")
+
+    monkeypatch.setattr("covnoise.cli.sylvester_hadamard_example", no_blocks)
+    (tmp_path / "plain").write_text("")
+    target = {"missing folder": tmp_path / "missing" / "x.csv", "folder": tmp_path,
+              "file as folder": tmp_path / "plain" / "x.csv"}[where]
+    code, out, err = run_cli(capsys, "hadamard", "--p-max", "10", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write the report to {str(target)!r}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
+def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
+    """A failure the early check cannot see still exits 2 at write time."""
+    target = tmp_path / ("x" * 300)  # an existing folder, a name too long to create
+    code, out, err = run_cli(capsys, "hadamard", "--p-max", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write the report to") and "too long" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise-table", "--n", "0:300000000"], ["noise-table", "--l", "1:300000000"],
+    ["asymptotic", "--l=-5:999999999999999999999"], ["noise-diagonal", "--n", "0:1000000"],
+    ["schur-growth", "--r", "5:100000000"]])
+def test_over_long_list_exits_3_before_it_is_built(argv):
+    """A --n, --l or --r list longer than the cap exits 3 naming the cap,
+    in a child whose address space is capped at 2 GB: the list is never
+    built, so the limit is not what stops it."""
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("resource limit: ") and "cap of 1000000" in proc.stderr
+
+
+def test_list_cap_boundary():
+    assert len(cli._parse_int_list("1:%d" % cli.MAX_LIST_LENGTH)) == cli.MAX_LIST_LENGTH
+    assert cli._parse_int_list("5:4") == []
+    with pytest.raises(cn.ResourceLimitError, match="cap of 1000000"):
+        cli._parse_int_list("0:%d" % cli.MAX_LIST_LENGTH)
+    with pytest.raises(cn.ResourceLimitError, match="1000001 entries"):
+        cli._parse_int_list(",".join(["7"] * (cli.MAX_LIST_LENGTH + 1)))
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "torus"], ["schur-growth", "--r", "5"],
+                                     ["noise-table", "--n", "0:0"], ["observable"]])
+def test_non_object_config_matrix_is_refused_by_every_subcommand(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": [1, 2]}))
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: matrix spec must be an object, got list\n"
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -381,11 +498,10 @@ UNREAD = [(command, option) for command, options in COMMAND_OPTIONS.items()
 
 
 def test_subcommand_options_match_the_declared_table():
-    parser = cli._build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    _, commands = cli._build_parser()
     seen = {name: {flag for action in sp._actions for flag in action.option_strings
                    if flag not in ("-h", "--help")}
-            for name, sp in commands.choices.items()}
+            for name, sp in commands.items()}
     assert seen == COMMAND_OPTIONS
     assert sum(len(options) for options in seen.values()) == 47
     assert len(UNREAD) == 21

@@ -333,21 +333,22 @@ def test_truncate_and_cap(monkeypatch):
 @settings(max_examples=25, deadline=None)
 def test_phase_recovery_round_trip(seed, slope):
     """Recovering phases from a rank-one phase matrix reproduces it to 1e-12
-    modulo a global offset."""
+    modulo a global offset, on a 16- and a 512-wide window."""
     if seed % 2:
         A = cn.seeded_torus(Z, seed=seed)
-        w = cn.IndexWindow(-8, 7)
+        windows = (cn.IndexWindow(-8, 7), cn.IndexWindow(-256, 255))
     else:
         A = cn.torus_from_phases(N, cn.PhaseSequence(
             lambda n: slope * np.asarray(n, dtype=float)))
-        w = cn.IndexWindow(0, 15)
-    out = cn.torus_phase_recovery(A, w, 1e-10)
-    assert isinstance(out, cn.PhaseSequence)
-    idx = w.indices()
-    nu = np.asarray([float(out.nu(int(i))) for i in idx])
-    rebuilt = np.exp(1j * (nu[:, None] - nu[None, :]))
-    block = cn.truncate(A, w)
-    assert np.max(np.abs(rebuilt - block)) <= 1e-12
+        windows = (cn.IndexWindow(0, 15), cn.IndexWindow(0, 511))
+    for w in windows:
+        out = cn.torus_phase_recovery(A, w, 1e-10)
+        assert isinstance(out, cn.PhaseSequence)
+        idx = w.indices()
+        nu = np.asarray([float(out.nu(int(i))) for i in idx])
+        rebuilt = np.exp(1j * (nu[:, None] - nu[None, :]))
+        block = cn.truncate(A, w)
+        assert np.max(np.abs(rebuilt - block)) <= 1e-12
 
 
 def test_phase_recovery_failures():
@@ -374,6 +375,27 @@ def test_phase_recovery_failures():
     with pytest.raises(UsageError):
         cn.torus_phase_recovery(cn.StructureMatrix(N, offdiag, "half-diag"),
                                 cn.IndexWindow(0, 3), 1e-10)
+
+
+def test_phase_recovery_cocycle_failure_names_the_anchor_triple():
+    """The first entry, row by row, where the block leaves e^{i(nu_n - nu_m)}
+    read from the anchor column: a broken cocycle A(n,m)A(m,lo) = A(n,lo)."""
+    w = cn.IndexWindow(3, 10)
+    twist = np.zeros((w.size, w.size))
+    twist[4, 6] = 0.5
+    twist[6, 4] = -0.5
+
+    def entry(n, m):
+        na, ma = np.broadcast_arrays(np.asarray(n), np.asarray(m))
+        return np.exp(1j * (0.7 * (na - ma) + twist[na - w.lo, ma - w.lo]))
+
+    A = cn.StructureMatrix(N, entry, "twisted-pair", profile=UNIMODULAR)
+    out = cn.torus_phase_recovery(A, w, 1e-10)
+    assert isinstance(out, PhaseRecoveryFailure) and out.kind == "cocycle"
+    assert out.indices == (7, 9, 3)
+    n, m, lo = out.indices
+    cocycle = abs(complex(A.entry(n, m)) * complex(A.entry(m, lo)) - complex(A.entry(n, lo)))
+    assert out.defect == pytest.approx(cocycle, rel=1e-9) and out.defect > 0.4
 
 
 def test_seeded_builders_prefix_stable():
