@@ -96,8 +96,8 @@ def _config_number(field: str, value, kind: type):
 
 def _config_defaults(source: str) -> dict:
     """The --config file's values as parser defaults, in the form the
-    matching flags take.  Every key is checked whichever subcommand runs;
-    main checks the resolved values as it checks flags."""
+    matching flags take.  Every value is checked in full here, whichever
+    subcommand runs and whatever flags override it."""
     data = _load_json(source)
     unknown = [key for key in data if key not in _CONFIG_KEYS]
     if unknown:
@@ -119,11 +119,11 @@ def _config_defaults(source: str) -> dict:
         defaults["window"] = str(_parse_window(window))
     spec = data.get("matrix")
     if spec is not None:
-        if not isinstance(spec, dict):
-            raise UsageError(f"matrix spec must be an object, got {type(spec).__name__}")
+        matrix_from_spec(spec)  # checks every field; the command builds its own
         defaults["matrix"] = json.dumps(spec)
     if data.get("format") is not None:
         defaults["format"] = data["format"]
+    _check_values(defaults.get("tol"), defaults.get("format"), defaults.get("seed"))
     return defaults
 
 
@@ -134,15 +134,23 @@ def _check_inputs(args: argparse.Namespace) -> None:
         args.matrix = _load_json(args.matrix)
     if args.window is not None:
         args.window = _parse_window(args.window)
-    if args.tol is not None and not args.tol > 0.0:
-        raise UsageError(f"tolerance must be positive, got {args.tol}")
-    if args.format not in (None, "csv", "json"):
-        raise UsageError(f"unknown output format {args.format!r}")
+    _check_values(args.tol, args.format, args.seed)
     for dest in ("n", "l", "r"):
         if dest in vars(args):
             setattr(args, dest, _parse_int_list(getattr(args, dest)))
     if args.out is not None:
         _check_out(args.out)
+
+
+def _check_values(tol: float | None, fmt, seed: int | None) -> None:
+    """Refuse a tolerance that is not positive, an output format other than
+    csv or json, or a seed outside [0, 2^63); None is not given."""
+    if tol is not None and not tol > 0.0:
+        raise UsageError(f"tolerance must be positive, got {tol}")
+    if fmt not in (None, "csv", "json"):
+        raise UsageError(f"unknown output format {fmt!r}")
+    if seed is not None and not 0 <= seed < 2**63:
+        raise UsageError(f"seed must be an integer in [0, 2^63), got {seed!r}")
 
 
 def _check_out(out: str) -> None:

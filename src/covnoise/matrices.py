@@ -15,9 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .errors import ResourceLimitError, UsageError
 
 DEFAULT_WINDOW_CAP = 4096
 _BLOCK = 1024
+# Bytes of drawn blocks a seeded builder keeps: 512 blocks of C^8 vectors.
+_CACHE_BYTES = 64 << 20
+# Blocks drawn and finished together; one batch or fewer is drawn serially.
+_BATCH = 16
 
 
 def window_cap() -> int:
@@ -204,7 +209,7 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
 
 def gram_from_vectors(domain: IndexDomain,
                       vectors: Callable[[np.ndarray], np.ndarray],
-                      label: str | None = None) -> StructureMatrix:
+                      label: str | None = None, *, _checked: bool = False) -> StructureMatrix:
     """Gram matrix <v_n, v_m> of a unit-vector sequence; PSD by construction.
 
     vectors maps an integer index array of shape (k,) to a complex array
@@ -213,24 +218,33 @@ def gram_from_vectors(domain: IndexDomain,
     truncation fetches 2|w| vectors and a row entry(n, n + offsets) with k
     offsets fetches k + 1 and is one matvec.  Any fetched vector whose
     Euclidean norm deviates from 1 by more than 1e-9 is rejected with a
-    diagnostic.
+    diagnostic; a builder that checks each vector once when it makes it
+    passes _checked=True to skip the check on every fetch.
     """
 
     def fetch(idx) -> np.ndarray:
         idx = np.asarray(idx)
         flat = idx.reshape(-1)
         rows = np.asarray(vectors(flat), dtype=np.complex128)
-        norms = np.linalg.norm(rows, axis=-1)
-        bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
-        if bad.size:
-            raise UsageError(f"gram vector at index {int(flat[bad[0]])} has norm "
-                             f"{norms[bad[0]]!r}, expected 1")
+        if not _checked:
+            _check_unit(rows, lambda i: int(flat[i]))
         return rows.reshape(idx.shape + rows.shape[-1:])
 
     def entry(n, m):
         return np.einsum("...d,...d->...", np.conj(fetch(n)), fetch(m))[()]
 
     return StructureMatrix(domain, entry, label or f"gram[{domain.value}]", hermitian=True)
+
+
+def _check_unit(rows: np.ndarray, index_of: Callable[[int], int]) -> None:
+    """Refuse the first row of rows (k, dim) whose Euclidean norm is not 1
+    within 1e-9; index_of(i) is the index that names row i."""
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    norms = np.sqrt(np.einsum("...d,...d->...", parts, parts))
+    bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
+    if bad.size:
+        raise UsageError(f"gram vector at index {index_of(int(bad[0]))} has norm "
+                         f"{norms[bad[0]]!r}, expected 1")
 
 
 def truncate(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
@@ -370,41 +384,128 @@ def _zigzag(n: np.ndarray) -> np.ndarray:
     return np.where(arr >= 0, 2 * arr, -2 * arr - 1)
 
 
+def _unzigzag(z: int) -> int:
+    return z // 2 if z % 2 == 0 else -(z + 1) // 2
+
+
 class _BlockCache:
     """Deterministic per-index values in fixed blocks of _BLOCK indices.
 
-    Block b is drawn once from a Philox counter-based stream keyed by
-    (seed, b) (Salmon et al., SC'11), so a value depends only on the seed
-    and its index, never on query order or on how far the cache has grown.
-    values holds every block drawn so far, once, in index order.
+    Block b is drawn from a Philox counter-based stream keyed by (seed, b)
+    (Salmon et al., SC'11), so a value depends only on the seed and its
+    index, never on query order, on how far the cache has grown or on
+    which thread drew it.  fill(streams, blocks, out) draws the blocks in
+    place into out, one after another, taking one stream per block from
+    streams.
+
+    values holds the blocks below the budget of _CACHE_BYTES, in index
+    order, each drawn once straight into a store that grows by doubling.
+    Blocks past the budget are drawn for the fetch that needs them and
+    then dropped.  The blocks one fetch needs are drawn in batches of
+    _BATCH blocks on every CPU.
     """
 
-    def __init__(self, seed: int, make: Callable[[np.random.Generator, int], np.ndarray]):
+    def __init__(self, seed: int, row: tuple[int, ...], dtype: type,
+                 fill: Callable[[Iterator[np.random.Generator], np.ndarray, np.ndarray], None]):
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
             raise UsageError(f"seed must be an integer in [0, 2^63), got {seed!r}")
         self.seed = int(seed)
-        self.make = make
-        self.values = self._block(0)
+        self.fill = fill
+        self.store = self.values = np.empty((0, *row), dtype)
+        self.limit = max(1, _CACHE_BYTES // (_BLOCK * self.store.itemsize * math.prod(row)))
+        self.lock = threading.Lock()
 
-    def _block(self, b: int) -> np.ndarray:
-        return self.make(np.random.Generator(np.random.Philox(key=[self.seed, b])), _BLOCK)
+    def _streams(self, blocks: np.ndarray) -> Iterator[np.random.Generator]:
+        # resetting one generator to each further key costs a quarter of building one
+        bits = np.random.Philox(key=[self.seed, blocks[0]])
+        rng, fresh = np.random.Generator(bits), bits.state if len(blocks) > 1 else None
+        yield rng
+        for b in blocks[1:]:
+            fresh["state"]["key"][1] = b
+            bits.state = fresh
+            yield rng
+
+    def _draw(self, blocks: np.ndarray, out: np.ndarray) -> None:
+        """Draw block blocks[i] into out[i * _BLOCK:(i + 1) * _BLOCK]: one
+        batch in the calling thread, more on every CPU."""
+        if len(blocks) <= _BATCH:
+            self.fill(self._streams(blocks), blocks, out)
+            return
+        batches = [slice(i, i + _BATCH) for i in range(0, len(blocks), _BATCH)]
+        pending, claim = iter(batches), threading.Lock()
+        errors: list[Exception] = []
+
+        def run() -> None:
+            # each thread claims the next batch when it is free, so a thread
+            # that gets less CPU time draws fewer batches
+            try:
+                while True:
+                    with claim:
+                        s = next(pending, None)
+                    if s is None:
+                        return
+                    self.fill(self._streams(blocks[s]), blocks[s],
+                              out[s.start * _BLOCK:s.stop * _BLOCK])
+            except Exception as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+        # batches are independent and their draws release the GIL
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        threads = [threading.Thread(target=run)
+                   for _ in range(min(cpus or 1, len(batches)) - 1)]
+        for thread in threads:
+            thread.start()
+        run()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
 
     def ensure(self, size: int) -> None:
-        have = len(self.values) // _BLOCK
-        if size > have * _BLOCK:
-            drawn = [self._block(b) for b in range(have, -(-size // _BLOCK))]
-            self.values = np.concatenate([self.values, *drawn])
+        """Draw the blocks below index size, up to the budget, not yet in values."""
+        have, want = len(self.values) // _BLOCK, min(-(-size // _BLOCK), self.limit)
+        if want <= have:
+            return
+        if want * _BLOCK > len(self.store):
+            cap = min(max(want, 2 * len(self.store) // _BLOCK), self.limit)
+            self.store = np.empty((cap * _BLOCK, *self.store.shape[1:]), self.store.dtype)
+            self.store[:len(self.values)] = self.values
+        self._draw(np.arange(have, want), self.store[have * _BLOCK:want * _BLOCK])
+        self.values = self.store[:want * _BLOCK]
 
     def take(self, zz: np.ndarray) -> np.ndarray:
-        if zz.size:
-            self.ensure(int(zz.max()) + 1)
-        return self.values[zz]
+        """The values at the zigzag indices zz, of shape zz.shape + row."""
+        with self.lock:
+            top = int(zz.max(initial=-1))
+            if top < self.limit * _BLOCK:
+                self.ensure(top + 1)
+                return self.values[zz]
+            blocks, slot = np.unique(zz // _BLOCK, return_inverse=True)
+            slot = slot.reshape(zz.shape)
+            kept = int(np.searchsorted(blocks, self.limit))  # blocks is sorted
+            self.ensure(int(blocks[kept - 1] + 1) * _BLOCK if kept else 0)
+            rows = self.values.shape[1:]
+            drawn = np.empty(((blocks.size - kept) * _BLOCK, *rows), self.values.dtype)
+            self._draw(blocks[kept:], drawn)
+            pos = (slot - kept) * _BLOCK + zz % _BLOCK
+            if not kept:
+                return drawn[pos]
+            near = slot < kept
+            out = np.empty(zz.shape + rows, self.values.dtype)
+            out[near] = self.values[zz[near]]
+            out[~near] = drawn[pos[~near]]
+            return out
 
 
 def seeded_torus(domain: IndexDomain, seed: int = 0) -> StructureMatrix:
     """Torus matrix with reproducible pseudo-random phases in [0, 2pi)."""
 
-    cache = _BlockCache(seed, lambda rng, n: rng.uniform(0.0, 2.0 * math.pi, size=n))
+    def fill(streams, blocks: np.ndarray, out: np.ndarray) -> None:
+        for rng, part in zip(streams, out.reshape(len(blocks), _BLOCK)):
+            rng.random(out=part)
+        out *= 2.0 * math.pi  # uniform(0, 2pi) is 2pi times random(), bit for bit
+
+    cache = _BlockCache(seed, (), np.float64, fill)
 
     def nu(n):
         return cache.take(_zigzag(np.asarray(n)))[()]
@@ -419,17 +520,21 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
     if dim < 1:
         raise UsageError(f"gram vector dimension must be >= 1, got {dim}")
 
-    def make(rng: np.random.Generator, n: int) -> np.ndarray:
-        flat = rng.normal(size=(n, 2 * dim))
-        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-        return flat[:, :dim] + 1j * flat[:, dim:]
+    def fill(streams, blocks: np.ndarray, out: np.ndarray) -> None:
+        flat = np.empty((len(out), 2 * dim))
+        for rng, part in zip(streams, flat.reshape(len(blocks), _BLOCK, 2 * dim)):
+            rng.standard_normal(out=part)
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+        np.divide(flat[:, :dim], norms, out=out.real)
+        np.divide(flat[:, dim:], norms, out=out.imag)
+        _check_unit(out, lambda i: _unzigzag(int(blocks[i // _BLOCK]) * _BLOCK + i % _BLOCK))
 
-    cache = _BlockCache(seed, make)
+    cache = _BlockCache(seed, (dim,), np.complex128, fill)
 
     def vectors(idx: np.ndarray) -> np.ndarray:
         return cache.take(_zigzag(np.asarray(idx)))
 
-    return gram_from_vectors(domain, vectors,
+    return gram_from_vectors(domain, vectors, _checked=True,
                              label=f"seeded_gram(dim={dim},seed={seed})[{domain.value}]")
 
 

@@ -139,12 +139,13 @@ def _suite_noise_diagonal(suite: Suite, seed: int) -> None:
     for name, A in cases:
         good = True
         worst = 0.0
+        ns = (0, 5) if A.domain is IndexDomain.NATURALS else (-2, 0, 3)
+        brackets = {n: noise_value(A, NoiseQuery(n, 2, 1e-6)) for n in ns}
         for size in (128, 256):
             w = _default_window(A.domain, size)
-            ns = (0, 5) if A.domain is IndexDomain.NATURALS else (-2, 0, 3)
             for n in ns:
                 value, tail = noise_operator_diagonal(A, n, w)
-                s = noise_value(A, NoiseQuery(n, 2, 1e-6))
+                s = brackets[n]
                 defect = abs(value - s.value)
                 worst = max(worst, defect)
                 good = good and defect <= tail + s.width

@@ -237,6 +237,26 @@ def test_over_long_list_exits_3_before_it_is_built(argv):
     assert proc.stderr.startswith("resource limit: ") and "cap of 1000000" in proc.stderr
 
 
+def test_gram_row_memory_does_not_grow_with_the_tolerance():
+    """A seeded gram row on Z at tol 3e-7 sums 7.4 million terms.  Blocks
+    past the 64 MiB cache budget are drawn for each fetch and dropped, so
+    it runs in a child whose address space is capped at 1 GiB (its own
+    peak is about 0.4 GB); a cache that kept every block reached about
+    2.0 GB and stopped there with a MemoryError.  The child is pinned to
+    two CPUs, since each drawing thread reserves address space of its own."""
+    child = ("import os, resource, sys; "
+             "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["noise-table", "--matrix", '{"kind": "gram", "domain": "Z", "seed": 1, "dim": 8}',
+            "--n", "0", "--l", "1", "--tol", "3e-7"]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, timeout=300, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560759251,"
+                           "1.3547076060759358,1.3547079060759144,3680716\n")
+
+
 def test_list_cap_boundary():
     assert len(cli._parse_int_list("1:%d" % cli.MAX_LIST_LENGTH)) == cli.MAX_LIST_LENGTH
     assert cli._parse_int_list("5:4") == []
@@ -313,6 +333,41 @@ def test_finite_tables_refused_for_row_sums(capsys, spec, command):
 def test_negative_seed_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "torus", "--seed", "-1")
     assert code == 2 and out == "" and "seed" in err
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+def test_out_of_range_seed_is_refused_before_any_suite_runs(capsys, monkeypatch, suite, seed):
+    """Every suite refuses a seed outside [0, 2^63), including those that
+    never read it (chessboard, schur), before any check runs."""
+    monkeypatch.setattr(verify, "run", lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: seed must be an integer in [0, 2^63), got {seed}\n"
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ({"tolerance": -1}, ["noise-table", "--n", "0:0", "--tol", "1e-3"],
+     "tolerance must be positive, got -1.0"),
+    ({"tolerance": float("nan")}, ["noise-table", "--n", "0:0", "--tol", "1e-3"],
+     "tolerance must be positive, got nan"),
+    ({"format": "xml"}, ["noise-table", "--n", "0:0", "--format", "csv"],
+     "unknown output format 'xml'"),
+    ({"seed": -1}, ["verify", "--suite", "chessboard", "--seed", "0"],
+     "seed must be an integer in [0, 2^63), got -1"),
+    ({"matrix": {"kind": "x"}}, ["noise-table", "--n", "0:0", "--matrix", '{"kind": "constant_one"}'],
+     "unknown matrix kind 'x'"),
+    ({"matrix": {"kind": "chessboard", "xi": 2}}, ["schur-growth", "--r", "5"],
+     "chessboard xi must lie in [0, 1], got 2.0"),
+])
+def test_config_values_are_checked_in_full_whatever_the_flags(tmp_path, capsys, data, argv,
+                                                             message):
+    """A bad value in a config file exits 2 at load, even when a flag
+    overrides it or the subcommand never reads it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_observable_identity_dump(capsys):

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -410,6 +413,141 @@ def test_seeded_builders_prefix_stable():
     assert complex(g1.entry(2, -1)) == complex(g2.entry(2, -1))
     assert complex(cn.seeded_torus(N, seed=4).entry(5, 3)) != complex(
         cn.seeded_torus(N, seed=5).entry(5, 3))
+
+
+# sha256 of the seeded values at _seeded_indices, for seeds 0, 7 and 2^62 - 1
+# on N then Z, as drawn when every block below the largest index was kept.
+_FROZEN = {
+    "gram1": "63c660a7691423c9824cfe4f9876173af0fb89c07701e8aae208387025b33d34",
+    "gram3": "4ef20f6c9690cc55bd2b07a153a2e73d6e9baa41ceaff4f700d62f592d65c509",
+    "gram8": "3b725b842f1b3d07b7eb8de8b6a4ba586678631aad15230106c47b11898bc036",
+    "torus": "c9e18a56e7934a3d3802a4adeb24625a00385c69af3a0bbf54f49b431b4e8f75",
+}
+
+
+def _seeded_indices(domain, seed):
+    """Indices near 0, far out (|n| up to 1.5e6, past the C^8 budget of
+    |n| < 2^18) and either side of that budget, in random order."""
+    rng = np.random.default_rng(seed % 1000)
+    idx = np.concatenate([rng.integers(-3000, 3001, 40), rng.integers(-1_500_000, 1_500_001, 160),
+                          [0, 1, -1, 2**18 - 1, 2**18, -2**18, -2**18 - 1]])
+    return np.abs(idx) if domain is N else idx
+
+
+def _seeded_digest(monkeypatch, kind):
+    digest = hashlib.sha256()
+    for seed in (0, 7, 2**62 - 1):
+        for domain in (N, Z):
+            idx = _seeded_indices(domain, seed)
+            if kind == "torus":
+                _, phases = _captured(monkeypatch, "torus_from_phases",
+                                      lambda: cn.seeded_torus(domain, seed=seed))
+                values = phases.nu(np.concatenate([idx, 4 * idx]))
+            else:
+                _, vectors = _captured(monkeypatch, "gram_from_vectors",
+                                       lambda: cn.seeded_gram(domain, int(kind[4:]), seed=seed))
+                values = vectors(idx)
+            digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind, budget", [("gram8", None)] + [
+    (kind, 1 << 18) for kind in ("gram1", "gram3", "gram8", "torus")])
+def test_seeded_values_are_frozen(monkeypatch, kind, budget):
+    """Seeded gram vectors and torus phases keep their bits whether a block
+    is cached or drawn past the budget and dropped: at the real budget, and
+    at a 256 KiB one that leaves 2 to 32 blocks cached."""
+    if budget is not None:
+        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
+    assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind]
+
+
+def _owned_bytes(cache):
+    return sum(v.nbytes for v in vars(cache).values()
+               if isinstance(v, np.ndarray) and v.base is None)
+
+
+def test_block_cache_holds_at_most_its_budget(monkeypatch):
+    """A gram row on Z at tol 4e-6 (l = 1) reaches 539 blocks of C^8
+    vectors; the cache keeps the 512 that fit in 64 MiB and no more.  At a
+    1 MiB budget, rows, far truncations and torus phases past it equal the
+    values of an unbounded cache, and the cache never owns more than 1 MiB."""
+    assert matrices._CACHE_BYTES == 64 << 20
+    caches = []
+
+    class Recorded(matrices._BlockCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(matrices, "_BlockCache", Recorded)
+    cn.noise_value(cn.seeded_gram(Z, 8, seed=2), cn.NoiseQuery(0, 1, 4e-6))
+    assert caches[0].limit == 512 and len(caches[0].values) == 512 * 1024
+    assert _owned_bytes(caches[0]) == 64 << 20
+
+    def probes():
+        gram, torus = cn.seeded_gram(Z, 8, seed=2), cn.seeded_torus(Z, seed=2)
+        far = cn.IndexWindow(10**6, 10**6 + 40)
+        return [gram.entry(3, 3 + np.arange(-70_000, 70_000)), cn.truncate(gram, far),
+                cn.truncate(torus, far), torus.entry(-(10**7), np.arange(0, 10**6, 7))]
+
+    unbounded = probes()
+    caches.clear()
+    monkeypatch.setattr(matrices, "_CACHE_BYTES", 1 << 20)
+    for got, want in zip(probes(), unbounded):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert [c.limit for c in caches] == [8, 128]
+    assert all(0 < _owned_bytes(c) <= 1 << 20 for c in caches)
+
+
+def test_concurrent_fetches_get_the_serial_values():
+    """Eight threads fetch rows of one seeded gram matrix that reach 64 to
+    640 blocks, so its store is regrown while others draw into it and the
+    longest rows cross the budget, with a 1 us switch interval; each gets
+    the bits a matrix gives serially."""
+    offsets = [np.arange(1, 40_000 * (k + 1)) for k in range(8)]
+    serial = cn.seeded_gram(Z, 8, seed=9)
+    want = [serial.entry(0, o) for o in offsets]
+    A = cn.seeded_gram(Z, 8, seed=9)
+    got = [None] * len(offsets)
+
+    def fetch(k):
+        got[k] = A.entry(0, offsets[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch, args=(k,)) for k in range(len(offsets))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(_bits(g), _bits(w))
+
+
+def test_seeded_gram_checks_each_vector_once_when_drawn(monkeypatch):
+    """Seeded vectors are norm-checked as their block is drawn, not on
+    each fetch: a row fetched twice is checked once.  A vector that is
+    not a unit vector is refused, naming its index."""
+    checked = []
+    real = matrices._check_unit
+    monkeypatch.setattr(matrices, "_check_unit",
+                        lambda rows, index_of: (checked.append(len(rows)), real(rows, index_of)))
+    A = cn.seeded_gram(Z, 8, seed=1)
+    offsets = np.arange(1, 20_000)
+    A.entry(0, offsets)
+    A.entry(0, offsets)
+    assert sum(checked) == 40 * 1024
+    rows = np.full((8, 2), np.sqrt(0.5) + 0j)
+    rows[5] *= 2.0
+    with pytest.raises(UsageError, match=r"index -3 has norm np.float64\(2.0"):
+        real(rows, matrices._unzigzag)
+    idx = np.arange(-5000, 5000)
+    assert [matrices._unzigzag(int(z)) for z in matrices._zigzag(idx)] == idx.tolist()
 
 
 def test_matrix_from_spec_round_trips():
