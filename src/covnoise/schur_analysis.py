@@ -24,7 +24,10 @@ from .observables import IntervalSet, kernel_by_difference
 
 class NormMethod(Enum):
     HERMITIAN_EIGEN = "hermitian_eigen"
-    TOEPLITZ_LANCZOS = "toeplitz_lanczos"
+    TOEPLITZ_POWER = "toeplitz_power"
+
+
+_STALL, _MAX_MATVECS = 4, 1000  # see _toeplitz_perron_norm
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,9 @@ class NormEstimate:
 
     The dense path (HERMITIAN_EIGEN) is one eigensolve: iterations and
     residual are 0 and lower/upper are None, so its value is not
-    certified.  The Toeplitz path sets lower/upper, which certify the
-    norm: lower <= ||M|| <= upper after rounding; iterations counts its
-    matvecs and residual is the relative width of the bracket.
+    certified.  The Toeplitz power iteration sets lower/upper, which
+    certify the norm: lower <= ||M|| <= upper after rounding; iterations
+    counts its FFT matvecs and residual is the relative width.
     """
 
     value: float
@@ -115,46 +118,45 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
     """Certified norm of the nonnegative symmetric Toeplitz matrix M with
     this first column, in O(n) memory.
 
-    Lanczos (ARPACK) finds the top eigenvalue, which is the norm by
-    Perron-Frobenius, with the matvec done by FFT on the size-2n
-    circulant embedding of M.  One direct matvec on x = |v| then gives
-    the Collatz-Wielandt bracket min(Mx/x) <= rho(M) <= max(Mx/x).
-    Every term of that matvec is nonnegative, so barring underflow each
-    quotient is within relative gamma_{n+1} of its exact value (n
-    products summed in any order, one division); the ends are widened by gamma_{2n}, whose surplus covers
-    the rounding of the widening itself.  residual is the relative width
-    of the bracket; iterations counts FFT matvecs.
+    Power iteration from the ones vector, by FFT on a circulant embedding
+    of M padded to a length with no prime factor above 5.  Once the FFT
+    quotients y/x have not narrowed for _STALL matvecs, one direct matvec
+    gives the Collatz-Wielandt bracket min(Mx/x) <= ||M|| <= max(Mx/x),
+    true for any positive x.  Its terms are nonnegative, so barring
+    underflow each quotient is within relative gamma_{n+1} of its exact
+    value (n products summed in any order, one division); the ends are
+    widened by gamma_{2n}, whose surplus covers the rounding of the
+    widening.  value is the Rayleigh quotient, in fsum (no BLAS).  Refused:
+    a non-positive iterate, no stall in _MAX_MATVECS, a spread > gamma_{2n}.
     """
 
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     n = column.size
-    spectrum = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
-    matvecs = 0
-
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return np.fft.irfft(np.fft.rfft(np.ravel(x), 2 * n) * spectrum, 2 * n)[:n]
-
-    values, vectors = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float),
-                            k=1, which="LA", v0=np.ones(n))
-    value = float(values[0])
-    x = np.abs(vectors[:, 0])
-    if np.any(x <= 0.0):
-        raise ContractViolationError(
-            f"Lanczos eigenvector has {int(np.sum(x <= 0.0))} zero entries; "
-            f"no Collatz-Wielandt bracket at size {n}")
-    quotients = np.convolve(x, np.concatenate([column[:0:-1], column]), mode="valid") / x
-    unit = 2.0 ** -53
-    gamma = 2 * n * unit / (1.0 - 2 * n * unit)
-    lower = math.nextafter(float(quotients.min()) / (1.0 + gamma), -math.inf)
-    upper = math.nextafter(float(quotients.max()) / (1.0 - gamma), math.inf)
+    size = next(m for m in range(2 * n - 1, 4 * n) if not (2**63 * 3**40 * 5**27) % m)
+    spectrum = np.fft.rfft(np.concatenate([column, np.zeros(size - 2 * n + 1), column[:0:-1]]))
+    x, best, stalled = np.ones(n), math.inf, 0
+    for matvecs in range(1, _MAX_MATVECS + 1):
+        y = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)[:n]
+        if not np.all(y > 0.0):
+            raise ContractViolationError(f"power iterate {matvecs} is not positive at size {n}")
+        spread = float(np.ptp(y / x))
+        best, stalled = (spread, 0) if spread < best else (best, stalled + 1)
+        if stalled == _STALL:
+            break
+        x = y / y.max()
+    else:
+        raise ContractViolationError(f"no stall in {matvecs} FFT matvecs at size {n}")
+    direct = np.convolve(x, np.concatenate([column[:0:-1], column]), mode="valid")
+    low, high = float(np.min(direct / x)), float(np.max(direct / x))
+    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+    if high - low > gamma * high:
+        raise ContractViolationError(f"direct quotients spread wider than gamma_2n at size {n}")
+    value = math.fsum(x * y) / math.fsum(x * x)
+    lower = math.nextafter(low / (1.0 + gamma), -math.inf)
+    upper = math.nextafter(high / (1.0 - gamma), math.inf)
     if not lower <= value <= upper:
-        raise ContractViolationError(
-            f"Lanczos value {value!r} lies outside its certified bracket "
-            f"[{lower!r}, {upper!r}] at size {n}")
-    return NormEstimate(value, NormMethod.TOEPLITZ_LANCZOS, matvecs,
+        raise ContractViolationError(f"Rayleigh quotient {value!r} lies outside its certified "
+                                     f"bracket [{lower!r}, {upper!r}] at size {n}")
+    return NormEstimate(value, NormMethod.TOEPLITZ_POWER, matvecs,
                         (upper - lower) / value, lower, upper)
 
 
@@ -196,11 +198,9 @@ def modulus_growth_table(r_values) -> list[GrowthRecord]:
         column = _half_circle_column(r)
         row_sums = _toeplitz_row_sums(column)
         smallest = float(row_sums.min())
-        first_row = float(row_sums[0])
-        if abs(first_row - smallest) > 1e-12:
-            warnings.warn(f"smallest row sum {smallest:.12g} is not the first row "
-                          f"sum {first_row:.12g} at r={r}; using the literal minimum",
-                          stacklevel=2)
+        if abs(row_sums[0] - smallest) > 1e-12:
+            warnings.warn(f"smallest row sum {smallest:.12g} is not the first row sum "
+                          f"{row_sums[0]:.12g} at r={r}; using the literal minimum", stacklevel=2)
         norm = _toeplitz_perron_norm(column)
         bound = math.fsum(1.0 / j for j in range(1, r + 1, 2)) / math.pi
         if not (norm.lower >= smallest > bound):

@@ -650,10 +650,20 @@ def test_console_script_runs():
     assert proc.stdout.startswith("n,l,value")
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("argv", [
+    None,
+    ["schur-growth", "--r", "5,55,5555"],
+    ["verify", "--suite", "schur"],
+], ids=["import", "schur-growth", "verify-schur"])
+def test_cli_import_does_not_load_scipy(argv):
+    """numpy is the only runtime dependency: neither the import nor the
+    commands that certify Toeplitz norms load scipy."""
+    call = "0" if argv is None else f"main({argv!r})"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, covnoise.cli; print('scipy' in sys.modules)"],
+         "import io, sys, contextlib\nfrom covnoise.cli import main\n"
+         f"with contextlib.redirect_stdout(io.StringIO()):\n    code = {call}\n"
+         "print('scipy' in sys.modules, code)"],
         capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False 0"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covnoise as cn
+from covnoise import schur_analysis
 from covnoise.errors import ContractViolationError, UsageError
 from covnoise.schur_analysis import _half_circle_column, _toeplitz_row_sums
 
@@ -111,7 +112,7 @@ def test_operator_norm_solves_real_input_in_float64(monkeypatch):
 def test_dense_norm_inside_toeplitz_bracket():
     """The dense eigensolve of the r = 55 section, a real symmetric matrix
     solved in float64, lands inside the certified bracket of the
-    FFT/Lanczos path."""
+    FFT power-iteration path."""
     section = cn.half_circle_modulus_section(55)
     assert section.dtype == np.float64
     dense = cn.operator_norm(section)
@@ -153,7 +154,7 @@ def test_growth_table_values_and_chain():
     assert rec55.norm == pytest.approx(NORM_55, rel=1e-12)
     for rec, frozen in zip(table, (NORM_5, NORM_55)):
         est = rec.estimate
-        assert est.method is cn.NormMethod.TOEPLITZ_LANCZOS
+        assert est.method is cn.NormMethod.TOEPLITZ_POWER
         assert est.lower <= frozen <= est.upper
         assert est.lower >= rec.min_row_sum > rec.harmonic_bound
     # the harmonic lower bound is unbounded along sparse subsequences
@@ -165,12 +166,20 @@ def test_growth_table_values_and_chain():
         cn.modulus_growth_table((3,))
 
 
-@pytest.mark.parametrize("r", [5, 55, 555, 5555])
-def test_growth_norm_inside_certified_bracket(r):
+# Relative widths of the brackets that ARPACK's eigenvector gave before the
+# power iteration replaced it; the certificate must stay at least as tight.
+ARPACK_WIDTHS = {5: 3.391565251429204e-15, 55: 2.6775128907502178e-14,
+                 555: 2.5105847144068905e-13, 1451: 6.475441804116788e-13,
+                 1951: 8.700371987552855e-13, 2451: 1.0922088221169155e-12,
+                 5555: 2.4730845191601747e-12, 19999: 8.886206325708543e-12}
+
+
+@pytest.mark.parametrize("r, width", ARPACK_WIDTHS.items(), ids=map(str, ARPACK_WIDTHS))
+def test_growth_norm_inside_certified_bracket(r, width):
     est = cn.modulus_growth_table((r,))[0].estimate
     assert est.lower <= est.value <= est.upper
-    assert est.residual == (est.upper - est.lower) / est.value < 1e-11
-    assert est.iterations > 0
+    assert est.residual == (est.upper - est.lower) / est.value <= width
+    assert 0 < est.iterations < schur_analysis._MAX_MATVECS
 
 
 def test_growth_bracket_contains_mpmath_reference():
@@ -202,17 +211,34 @@ def test_toeplitz_row_sums_match_dense():
         assert np.all(np.abs(fast - dense) <= 4 * np.spacing(dense)), r
 
 
-def test_toeplitz_norm_refuses_vanishing_eigenvector(monkeypatch):
-    import scipy.sparse.linalg
+def test_toeplitz_norm_refuses_vanishing_eigenvector():
+    """A negative entry (outside the nonnegative contract) or a zero column
+    drives an iterate off the positive cone, where no bracket exists."""
+    for column in ([0.5, -1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ContractViolationError, match="not positive"):
+            schur_analysis._toeplitz_perron_norm(np.asarray(column))
 
-    def flat(op, **kwargs):
-        v = np.ones((op.shape[0], 1))
-        v[2] = 0.0
-        return np.asarray([1.0]), v
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flat)
-    with pytest.raises(ContractViolationError, match="zero entries"):
-        cn.modulus_growth_table((5,))
+def test_toeplitz_norm_refuses_at_the_matvec_cap(monkeypatch):
+    monkeypatch.setattr(schur_analysis, "_MAX_MATVECS", 20)
+    with pytest.raises(ContractViolationError, match="no stall in 20 FFT matvecs"):
+        cn.modulus_growth_table((55,))
+
+
+def test_toeplitz_norm_refuses_a_wide_certificate(monkeypatch):
+    """The direct matvec runs once; quotients spread wider than gamma_2n
+    (here every other one is inflated by 1e-6) are refused, not widened."""
+    calls = []
+    convolve = np.convolve
+
+    def skewed(x, kernel, mode):
+        calls.append(x.size)
+        return convolve(x, kernel, mode) * np.where(np.arange(x.size) % 2, 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(np, "convolve", skewed)
+    with pytest.raises(ContractViolationError, match="wider than gamma_2n"):
+        cn.modulus_growth_table((55,))
+    assert calls == [56]
 
 
 def test_harmonic_bound_formula():

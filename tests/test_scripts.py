@@ -22,7 +22,6 @@ def run_script(name, *argv):
     # the contraction norm at side 1501 is an eigensolve above size 1500
     ("schur_divergence.py", ["--r", "5", "55", "--window", "1501"],
      "observable truncation at side 1501: norm 1.000000000000"),
-    ("chessboard_adjudication.py", ["--xi", "0.5", "--cutoffs", "100"], "verdict:"),
     ("noise_diagonal_convergence.py", ["--sizes", "64", "128"], "tail bound always covers"),
 ])
 def test_script_runs(name, argv, needle):
