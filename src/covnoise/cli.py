@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (IndexDomain, IndexWindow, StructureMatrix, _default_window, constant_one,
                        matrix_from_spec)
-from .noise import NoiseQuery, asymptotic_noise_estimate, noise_value
+from .noise import (NoiseQuery, _validate_order, asymptotic_noise_estimate, check_query,
+                    noise_value)
 from .observables import (IntervalSet, angle_from_string, covariance_defect, moment_operator,
                           noise_operator_diagonal, observable_operator)
 from .schur_analysis import modulus_growth_table, sylvester_hadamard_example
@@ -154,9 +155,9 @@ def _check_values(tol: float | None, fmt, seed: int | None) -> None:
 
 
 def _check_out(out: str) -> None:
-    """Refuse an --out path in a missing folder, or naming a folder, with
-    the message the write itself would give."""
-    folder = os.path.dirname(out) or "."
+    """Refuse an empty --out path, one in a missing folder, or one naming a
+    folder, with the message the write itself would give."""
+    folder = os.path.dirname(out) or out and "."  # "" names no file: ENOENT
     if os.path.isdir(out):
         code = errno.EISDIR
     elif not os.path.isdir(folder):
@@ -273,17 +274,18 @@ def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
 
 def cmd_noise_table(args: argparse.Namespace) -> tuple[str, int]:
     A = _summable_matrix(args)
-    rows = []
-    for n in args.n:
-        for l in args.l:
-            v = noise_value(A, NoiseQuery(n, l, args.tol))
-            rows.append((n, l, v.value, v.lower, v.upper, v.cutoff))
+    # every query is checked, in table order, before the first is summed
+    queries = [check_query(A, NoiseQuery(n, l, args.tol)) for n in args.n for l in args.l]
+    values = [noise_value(A, q) for q in queries]
+    rows = [(q.n, q.l, v.value, v.lower, v.upper, v.cutoff) for q, v in zip(queries, values)]
     header = ("n", "l", "value", "lower", "upper", "cutoff")
     return _report_text(header, rows, args.format), 0
 
 
 def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
     A = _summable_matrix(args)
+    for l in args.l:  # every order is checked before the first sample is summed
+        _validate_order(l)
     records = []
     rows = []
     for l in args.l:
@@ -327,9 +329,10 @@ def cmd_covariance_check(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[str, int]:
     A = _summable_matrix(args)
     w = args.window or _default_window(A.domain, 256)
+    # every diagonal, with its window checks, comes before the first bracket
+    diagonals = [noise_operator_diagonal(A, n, w) for n in args.n]
     rows = []
-    for n in args.n:
-        value, tail = noise_operator_diagonal(A, n, w)
+    for n, (value, tail) in zip(args.n, diagonals):
         s = noise_value(A, NoiseQuery(n, 2, args.tol))
         ok = (value - tail <= s.upper) and (s.lower <= value + tail)
         rows.append((n, value, tail, s.lower, s.upper, abs(value - s.value), ok))

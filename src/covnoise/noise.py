@@ -138,13 +138,13 @@ def _class_tail(after: int, s: int, p: int) -> tuple[float, float]:
 class _Plan:
     """How one row bracket is made.
 
-    Offsets j = 1..cutoff above n and j = 1..down below n are summed from
-    the entry oracle; the rest of the row lies in tail (before the factor
+    Offsets j = 1..up above n and j = 1..down below n are summed from the
+    entry oracle; the rest of the row lies in tail (before the factor
     c(l)).  slack bounds every rounding error of the bracket and width
     bounds the width of the bracket that comes out.
     """
 
-    cutoff: int
+    up: int
     down: int
     tail: tuple[float, float]
     slack: float
@@ -152,19 +152,19 @@ class _Plan:
 
     @property
     def terms(self) -> int:
-        return self.cutoff + self.down
+        return self.up + self.down
 
 
-def _row_plan(A: StructureMatrix, n: int, l: int, cutoff: int) -> _Plan:
-    """The bracket plan for row n at a given cutoff.
+def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
+    """The bracket plan for row n with a head reaching up offsets above n
+    and down offsets below it.
 
     A row with a declared profile gets, per direction and residue class s
     of the offset, the tail w^l * zeta(2, a)/p^2 enclosed by
-    Euler-Maclaurin; on the naturals the segment below n past the cutoff
-    is the difference of two such tails, so the row costs O(cutoff) terms
-    whatever n is.  A row without one gets the one-sided bound
-    [0, t/cutoff] from |A| <= 1 (t = 2 on the integers, 1 on the
-    naturals, where the whole segment below n is summed).
+    Euler-Maclaurin; on the naturals the segment below n past the head is
+    the difference of two such tails.  A row without one gets the
+    one-sided bound [0, 1/reach] per side from |A| <= 1.  A side whose
+    head reaches the end of the row (index 0 on the naturals) has no tail.
 
     The rounding allowance is gamma_N times the largest magnitude in play,
     N = head block length + 5l + 2p + 40: it covers the head sum (any
@@ -173,36 +173,33 @@ def _row_plan(A: StructureMatrix, n: int, l: int, cutoff: int) -> _Plan:
     subtraction from the reference moment.
     """
 
-    naturals = A.domain is IndexDomain.NATURALS
     profile = A.profile
+    p = 1 if profile is None else profile.period
+    below_end = n if A.domain is IndexDomain.NATURALS else None
     lo = hi = mag = 0.0
-    if profile is None:
-        p = 1
-        down = n if naturals else cutoff
-        hi = mag = (1.0 if naturals else 2.0) / cutoff
-    else:
-        p = profile.period
-        down = min(cutoff, n) if naturals else cutoff
-        for sign, end in ((1, None), (-1, n if naturals else None)):
-            if end is not None and end <= cutoff:
+    for sign, reach, end in ((1, up, None), (-1, down, below_end)):
+        if end is not None and end <= reach:
+            continue
+        if profile is None:
+            hi, mag = hi + 1.0 / reach, mag + 1.0 / reach
+            continue
+        for s in range(p):
+            w = profile.weight(n, sign * s) ** l
+            if w == 0.0:
                 continue
-            for s in range(p):
-                w = profile.weight(n, sign * s) ** l
-                if w == 0.0:
-                    continue
-                a_lo, a_hi = _class_tail(cutoff, s, p)
-                # on the naturals the class stops at offset n (index 0)
-                b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
-                lo += w * (a_lo - b_hi)
-                hi += w * (a_hi - b_lo)
-                mag += w * (a_hi + b_hi)
+            a_lo, a_hi = _class_tail(reach, s, p)
+            # on the naturals the class stops at offset n (index 0)
+            b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
+            lo += w * (a_lo - b_hi)
+            hi += w * (a_hi - b_lo)
+            mag += w * (a_hi + b_hi)
     ref = _REF_BASE**l
     coeff = _tail_coefficient(l)
-    block = min(max(cutoff, down), _CHUNK)
+    block = min(max(up, down), _CHUNK)
     slack = _gamma(block + 5 * l + 2 * p + 40) * (ref + coeff * (_LATTICE_BOUND + 2.0 * mag))
     spread = coeff * (hi - lo) + 2.0 * slack
     width = spread * (1.0 + 8.0 * _UNIT) + 8.0 * math.ulp(ref + spread)
-    return _Plan(cutoff, down, (lo, hi), slack, width)
+    return _Plan(up, down, (lo, hi), slack, width)
 
 
 def _first(lo: int, hi: int, pred) -> int:
@@ -228,7 +225,10 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
     """
 
     def plan(k: int) -> _Plan:
-        return _row_plan(A, q.n, q.l, k)
+        # on the naturals a row without a profile sums its whole segment
+        # below n; a profiled row encloses it past k, so it costs O(k) terms
+        down = k if A.domain is IndexDomain.INTEGERS else q.n if A.profile is None else min(k, q.n)
+        return _row_plan(A, q.n, q.l, k, down)
 
     cap = DEFAULT_TERM_CAP
     # from one period on, doubling the cutoff moves every residue class
@@ -239,13 +239,13 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
             f"term cap {cap}; {A.label} declares no row-modulus profile, so no "
             f"tolerance brings the count under the cap")
     while cur.width > q.tol:
-        k = cur.cutoff
+        k = cur.up
         nxt = plan(2 * k)
         if nxt.terms > cap:
             nxt = plan(_first(k, 2 * k, lambda j: plan(j).terms > cap) - 1)
             if nxt.width > q.tol:
                 below = f", {nxt.down} of them below the diagonal at index {q.n}" \
-                    if nxt.down > nxt.cutoff else ""
+                    if nxt.down > nxt.up else ""
                 raise ResourceLimitError(
                     f"tolerance {q.tol:g} needs more than {cap} terms{below}; the smallest "
                     f"achievable tolerance within the term cap is {_round_up(nxt.width)}")
@@ -256,11 +256,11 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
                 raise ResourceLimitError(
                     f"tolerance {q.tol:g} is below the rounding floor of this query; the "
                     f"smallest achievable tolerance is {_round_up(nxt.width)} "
-                    f"(cutoff {nxt.cutoff})")
+                    f"(cutoff {nxt.up})")
             cur = nxt
             break
         lo, cur = k, nxt
-    return plan(_first(lo, cur.cutoff, lambda j: plan(j).width <= q.tol))
+    return plan(_first(lo, cur.up, lambda j: plan(j).width <= q.tol))
 
 
 def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
@@ -294,6 +294,13 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     return math.fsum(pieces)
 
 
+def check_query(A: StructureMatrix, q: NoiseQuery) -> NoiseQuery:
+    """q, once its index is known to lie in the domain of A."""
+    if not A.domain.contains(q.n):
+        raise UsageError(f"index {q.n} is not in {A.domain}")
+    return q
+
+
 def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     """Certified bracket for the l-th row moment at q.n.
 
@@ -304,15 +311,13 @@ def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     resource error that names the smallest achievable tolerance.
     """
 
-    if not A.domain.contains(q.n):
-        raise UsageError(f"index {q.n} is not in {A.domain}")
-    plan = _select_plan(A, q)
+    plan = _select_plan(A, check_query(A, q))
     coeff = _tail_coefficient(q.l)
     lo, hi = plan.tail
-    center = coeff * (_head_sum(A, q.n, q.l, plan.cutoff, plan.down) + 0.5 * (lo + hi))
+    center = coeff * (_head_sum(A, q.n, q.l, plan.up, plan.down) + 0.5 * (lo + hi))
     radius = 0.5 * coeff * (hi - lo) + plan.slack
     return NoiseValue(center, math.nextafter(center - radius, -math.inf),
-                      math.nextafter(center + radius, math.inf), plan.cutoff)
+                      math.nextafter(center + radius, math.inf), plan.up)
 
 
 def noise_value(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:

@@ -10,7 +10,7 @@ covariantly: E(X + x) picks up the phase e^{i (n-m) x} exactly, which makes
 the covariance defect of a truncation a pure rounding quantity.  First and
 second moment operators use the closed-form kernels of x and x^2, and the
 diagonal of E[2] - E[1]^2 reproduces the order-2 noise numbers up to a
-window tail that is bounded explicitly.
+window tail that the row plan of the noise brackets encloses.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (IndexDomain, IndexWindow, StructureMatrix, hermitian_defect,
                        truncate, window_cap)
+from .noise import _head_sum, _row_plan, reference_moment
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,15 +297,15 @@ def noise_operator_diagonal(A: StructureMatrix, n: int,
 
     Returns (value, tail_bound) where
 
-        value = 4pi^2/3 - pi^2 - sum_{k in w, k != n} |A(n, k)|^2 / (n - k)^2
+        value = pi^2/3 - sum_{k in w, k != n} |A(n, k)|^2 / (n - k)^2
 
-    and the true order-2 noise number lies within tail_bound of value.
-    The bound is 2/margin on the integers and 1/margin on the naturals,
-    where margin is the distance from n to the window edge that truncates
-    the sum; naturals windows must start at 0 so the lower side is exact.
-    n must sit inside w with margin at least a quarter of the window size,
-    and w may hold at most window_cap()**2 entries, as many as the largest
-    block truncate allows.
+    is summed by the row path of the noise brackets, and the true order-2
+    noise number lies within tail_bound of value (below it, up to
+    rounding): tail_bound is the upper end of the row plan's enclosure of
+    the row past the window plus its rounding allowance, rounded up.
+    Naturals windows must start at 0.  n must sit inside w with margin at
+    least a quarter of the window size, and w may hold at most
+    window_cap()**2 entries, as many as the largest block truncate allows.
     """
 
     w.validate_for(A.domain)
@@ -315,25 +316,16 @@ def noise_operator_diagonal(A: StructureMatrix, n: int,
             f"(COVNOISE_MAX_WINDOW squared); raise COVNOISE_MAX_WINDOW to sum it anyway")
     if not (w.lo <= n <= w.hi):
         raise UsageError(f"index {n} is outside the window {w}")
-    if A.domain is IndexDomain.NATURALS:
-        if w.lo != 0:
-            raise UsageError("naturals windows for the diagonal identity start at 0")
-        margin = w.hi - n
-        sides = 1.0
-    else:
-        margin = min(n - w.lo, w.hi - n)
-        sides = 2.0
+    naturals = A.domain is IndexDomain.NATURALS
+    if naturals and w.lo != 0:
+        raise UsageError("naturals windows for the diagonal identity start at 0")
+    margin = w.hi - n if naturals else min(n - w.lo, w.hi - n)
     if margin < w.size / 4.0:
         raise UsageError(f"index {n} needs margin >= {w.size / 4:g} inside {w}, "
                          f"has {margin}")
-
-    idx = w.indices()
-    row = np.asarray(A.entry(n, idx), dtype=np.complex128)
-    center = int(n - w.lo)
-    if abs(row[center] - 1.0) > 1e-12:
+    if abs(A.entry(n, n) - 1.0) > 1e-12:
         raise UsageError(f"{A.label} is not normalized at {n}")
-    d = idx - n
-    mask = d != 0
-    contrib = np.abs(row[mask]) ** 2 / d[mask].astype(float) ** 2
-    value = 4.0 * math.pi**2 / 3.0 - math.pi**2 - math.fsum(contrib.tolist())
-    return value, sides / margin
+    up, down = w.hi - n, n - w.lo
+    plan = _row_plan(A, n, 2, up, down)
+    value = reference_moment(2) - _head_sum(A, n, 2, up, down)
+    return value, math.nextafter(plan.tail[1] + plan.slack, math.inf)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -195,21 +196,47 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write the report to") and str(target) in err
 
 
-@pytest.mark.parametrize("where", ["missing folder", "folder", "file as folder"])
+@pytest.mark.parametrize("where", ["missing folder", "folder", "file as folder", "empty"])
 def test_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, where):
-    """A target in a missing folder, or one that is a folder, exits 2 naming
-    the path before any block is computed, and creates nothing."""
+    """A target in a missing folder, one that is a folder, or an empty path,
+    exits 2 naming the path before any block is computed, and creates
+    nothing."""
     def no_blocks(p):
         raise AssertionError(f"computed block p={p}")
 
     monkeypatch.setattr("covnoise.cli.sylvester_hadamard_example", no_blocks)
     (tmp_path / "plain").write_text("")
     target = {"missing folder": tmp_path / "missing" / "x.csv", "folder": tmp_path,
-              "file as folder": tmp_path / "plain" / "x.csv"}[where]
+              "file as folder": tmp_path / "plain" / "x.csv", "empty": ""}[where]
     code, out, err = run_cli(capsys, "hadamard", "--p-max", "10", "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write the report to {str(target)!r}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
+_GRAM_Z = '{"kind":"gram","domain":"Z","seed":3,"dim":8}'
+_GRAM_N = '{"kind":"gram","domain":"N","seed":3,"dim":8}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["noise-table", "--matrix", _GRAM_Z, "--n", "0", "--l", "2,0", "--tol", "1e-6"],
+     "error: moment order must be an integer >= 1, got 0"),
+    (["noise-table", "--matrix", _GRAM_N, "--n", "0,1,-1", "--tol", "1e-6"],
+     "error: index -1 is not in"),
+    (["noise-diagonal", "--matrix", _GRAM_N, "--n", "0,5,300", "--window", "0:255"],
+     "error: index 300 is outside the window 0:255"),
+    (["asymptotic", "--l", "2,0"], "error: moment order must be an integer >= 1, got 0"),
+], ids=["table-order", "table-index", "diagonal-window", "asymptotic-order"])
+def test_every_index_and_order_is_checked_before_the_first_bracket(capsys, monkeypatch,
+                                                                   argv, message):
+    """A bad index, order or window position late in a list exits 2 with
+    the message its own query gives, before any bracket is summed."""
+    calls = []
+    monkeypatch.setattr(cli, "noise_value", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "asymptotic_noise_estimate", lambda *args, **kw: calls.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(message)
+    assert calls == []
 
 
 def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
@@ -640,6 +667,18 @@ def _child_env():
     src = str(Path(cn.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _readme_command_lines() -> list[str]:
+    """The covnoise lines of the sh block under the README's "## Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("covnoise ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_examples_run(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -349,6 +349,25 @@ def test_noise_diagonal_against_brackets():
             assert abs(value - s.value) <= tail + s.width
 
 
+@pytest.mark.parametrize("family, n", [
+    ("chessboard-Z", -60), ("chessboard-Z", 0), ("chessboard-Z", 37),
+    ("constant-Z", -3), ("constant-Z", 0), ("constant-Z", 2),
+    ("constant-N", 0), ("constant-N", 5), ("constant-N", 17)])
+def test_noise_diagonal_tail_bound_is_certified_and_tight(family, n):
+    """value - exact is the row past the window, which the tail bound
+    encloses from above and overshoots by less than 1e-8 relative."""
+    if family == "chessboard-Z":
+        params = cn.ChessboardParams(0.5)
+        A, exact = cn.chessboard(Z, params), cn.chessboard_noise_closed_form(params, Z, n, 2).value
+    else:
+        domain = Z if family == "constant-Z" else N
+        A = cn.constant_one(domain)
+        exact = cn.reference_moment(2) - cn.lattice_sum_exact(domain, n)
+    w = cn.IndexWindow(0, 255) if A.domain is N else cn.IndexWindow(-128, 127)
+    value, tail = cn.noise_operator_diagonal(A, n, w)
+    assert 0.0 <= value - exact <= tail <= (value - exact) * (1.0 + 1e-8)
+
+
 def test_noise_diagonal_matches_dense_path():
     A = cn.seeded_torus(Z, seed=9)
     w = cn.IndexWindow(-64, 63)

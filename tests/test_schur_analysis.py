@@ -258,6 +258,12 @@ def test_schur_multiplier_witness_pair():
     assert cn.modulus_growth_table((555,))[0].min_row_sum > 1.5
 
 
+def test_half_circle_observable_is_a_contraction_past_side_1500():
+    E = cn.observable_operator(cn.constant_one(cn.IndexDomain.NATURALS),
+                               cn.IntervalSet.from_string("0:pi"), cn.IndexWindow(0, 1500))
+    assert abs(cn.operator_norm(E.entries).value - 1.0) <= 1e-9
+
+
 def test_sylvester_construction():
     H1 = cn.sylvester_hadamard(1)
     assert np.array_equal(H1, np.asarray([[1.0, 1.0], [1.0, -1.0]]))
