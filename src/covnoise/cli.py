@@ -460,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"resource limit: out of memory: {exc}", file=sys.stderr)
+        return 3
     except ContractViolationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,9 @@ _BLOCK = 1024
 _CACHE_BYTES = 64 << 20
 # Blocks drawn and finished together; one batch or fewer is drawn serially.
 _BATCH = 16
+# Rows per tile of the reductions over a dense block (hermitian_defect and
+# the covariant builders in observables), so no N x N temporary is formed.
+_TILE = 64
 
 
 def window_cap() -> int:
@@ -267,8 +270,8 @@ def hermitian_defect(M: np.ndarray) -> float:
     triangle is read in row tiles against the matching column tiles, so no
     N x N temporary is formed; each pair is compared once."""
 
-    return float(np.max([np.max(np.abs(M[i:i + 64, i:] - M[i:, i:i + 64].conj().T))
-                         for i in range(0, M.shape[0], 64)], initial=0.0))
+    return float(np.max([np.max(np.abs(M[i:i + _TILE, i:] - M[i:, i:i + _TILE].conj().T))
+                         for i in range(0, M.shape[0], _TILE)], initial=0.0))
 
 
 def schur_product(a: StructureMatrix, b: StructureMatrix) -> StructureMatrix:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import (IndexDomain, IndexWindow, StructureMatrix, hermitian_defect,
+from .matrices import (_TILE, IndexDomain, IndexWindow, StructureMatrix, hermitian_defect,
                        truncate, window_cap)
 from .noise import _head_sum, _row_plan, reference_moment
 
@@ -156,7 +156,7 @@ def kernel_by_difference(X: IntervalSet, q) -> np.ndarray:
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Dense operator block on a window; validated Hermitian when flagged:
-    densely here, or in O(N) by the builders below (see _covariant)."""
+    densely here, or in O(N) by the builders below (see _certify_hermitian)."""
 
     window: IndexWindow
     entries: np.ndarray
@@ -177,7 +177,8 @@ class TruncatedOperator:
 def _normalized_block(A: StructureMatrix,
                       w: IndexWindow) -> tuple[np.ndarray, tuple[float, float] | None]:
     """The w-truncation of A, checked for a unit diagonal, and for a
-    Hermitian A its Hermitian defect and largest modulus (see _covariant)."""
+    Hermitian A its Hermitian defect and largest modulus (see
+    _certify_hermitian), both read in row tiles."""
     block = truncate(A, w)
     diag_defect = float(np.max(np.abs(np.diagonal(block) - 1.0)))
     if diag_defect > 1e-12:
@@ -185,69 +186,70 @@ def _normalized_block(A: StructureMatrix,
                          f"from 1 by {diag_defect:.3e}")
     if not A.hermitian:
         return block, None
-    return block, (hermitian_defect(block), float(np.max(np.abs(block))))
+    block_max = max(float(np.max(np.abs(block[i:i + _TILE]))) for i in range(0, w.size, _TILE))
+    return block, (hermitian_defect(block), block_max)
 
 
 def _by_difference(f, size: int) -> np.ndarray:
-    """The size x size grid G[i, j] = f(i - j), from one call of f on the
-    2 size - 1 differences 1 - size .. size - 1 (integer array argument).
+    """The size x size grid G[i, j] = f(i - j), a read-only view of one
+    call of f on the 2 size - 1 differences 1 - size .. size - 1 (integer
+    array argument).
 
     Every covariant kernel depends on n - m only, so this costs O(size)
-    evaluations of f instead of O(size^2); the entries are the same bits
-    as f applied to the dense difference grid, since f acts elementwise.
+    evaluations of f and O(size) memory instead of O(size^2); the entries
+    are the same bits as f applied to the dense difference grid, since f
+    acts elementwise.
     """
 
     values = f(np.arange(1 - size, size))
-    pos = np.arange(size)
-    return values[pos[:, None] - pos[None, :] + (size - 1)]
+    return np.lib.stride_tricks.sliding_window_view(values, size)[::-1].T
+
+
+def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> None:
+    """Certify in O(N) that block * kernel is Hermitian to 1e-12.
+
+    With d_B, b the block's Hermitian defect and largest modulus (the
+    certificate), and d_k = max |k(q) - conj(k(-q))|, K = max |k| from the
+    kernel grid's first column k(q) and first row k(-q):
+    |P_nm - conj(P_mn)| <= K d_B + b d_k + 2 sqrt(2) gamma_2 b K for P =
+    block * kernel.  The exact products differ by k(q)(B_nm - conj(B_mn))
+    + conj(B_mn)(k(q) - conj(k(-q))), and each rounded complex product is
+    within sqrt(2) gamma_2 |B||k| of its exact value (Higham, Lemma 3.5),
+    with 2 sqrt(2) gamma_2 < 6u; the factor 1 + 16u covers the rounding of
+    the four maxima (3u each) and of the bound.  The bound is held to the
+    1e-12 of the dense check in TruncatedOperator.
+    """
+
+    block_defect, block_max = certificate
+    column, row = kernel[:, 0], kernel[0, :]
+    kernel_defect = float(np.max(np.abs(column - row.conj())))
+    kernel_max = float(max(np.max(np.abs(column)), np.max(np.abs(row))))
+    u = 2.0 ** -53
+    bound = (kernel_max * block_defect + block_max * kernel_defect
+             + 6.0 * u * block_max * kernel_max) * (1.0 + 16.0 * u)
+    if not bound <= 1e-12:
+        raise ContractViolationError(
+            f"operator flagged Hermitian deviates by up to {bound:.3e} (block "
+            f"defect {block_defect:.3e}, kernel defect {kernel_defect:.3e})")
 
 
 def _covariant(block: np.ndarray, certificate: tuple[float, float] | None, f,
                w: IndexWindow) -> TruncatedOperator:
-    """P = block * k(n - m) for k = f, flagged Hermitian when the block is.
-
-    The flag is certified in O(N), not by a dense pass over P.  With d_B, b
-    the block's Hermitian defect and largest modulus, and d_k =
-    max |k(q) - conj(k(-q))|, K = max |k| from the kernel grid's first
-    column k(q) and first row k(-q):
-    |P_nm - conj(P_mn)| <= K d_B + b d_k + 2 sqrt(2) gamma_2 b K.  The exact
-    products differ by k(q)(B_nm - conj(B_mn)) + conj(B_mn)(k(q) -
-    conj(k(-q))), and each rounded complex product is within
-    sqrt(2) gamma_2 |B||k| of its exact value (Higham, Lemma 3.5), with
-    2 sqrt(2) gamma_2 < 6u; the factor 1 + 16u covers the rounding of the
-    four maxima (3u each) and of the bound.  The bound is held to the 1e-12
-    of the dense check.
-    """
+    """P = block * k(n - m) for k = f, flagged Hermitian when the block is,
+    certified in O(N) by _certify_hermitian, not by a dense pass over P."""
 
     kernel = _by_difference(f, w.size)
-    # Keep the kernel bound to a name: an inline `block * f(...)` lets numpy
-    # reuse the temporary in place, which changes the last bits of entries.
-    entries = block * kernel
     if certificate is not None:
-        block_defect, block_max = certificate
-        column, row = kernel[:, 0], kernel[0, :]
-        kernel_defect = float(np.max(np.abs(column - row.conj())))
-        kernel_max = float(max(np.max(np.abs(column)), np.max(np.abs(row))))
-        u = 2.0 ** -53
-        bound = (kernel_max * block_defect + block_max * kernel_defect
-                 + 6.0 * u * block_max * kernel_max) * (1.0 + 16.0 * u)
-        if not bound <= 1e-12:
-            raise ContractViolationError(
-                f"operator flagged Hermitian deviates by up to {bound:.3e} (block "
-                f"defect {block_defect:.3e}, kernel defect {kernel_defect:.3e})")
+        _certify_hermitian(certificate, kernel)
+    entries = block * kernel
     return TruncatedOperator(w, entries, hermitian=certificate is not None, _certified=True)
-
-
-def _observable(block: np.ndarray, certificate: tuple[float, float] | None,
-                X: IntervalSet, w: IndexWindow) -> TruncatedOperator:
-    return _covariant(block, certificate, lambda q: kernel_by_difference(X, q), w)
 
 
 def observable_operator(A: StructureMatrix, X: IntervalSet,
                         w: IndexWindow) -> TruncatedOperator:
     """Truncation of E(X): entries A(n, m) i_X(n, m).  A must have unit
     diagonal on w."""
-    return _observable(*_normalized_block(A, w), X, w)
+    return _covariant(*_normalized_block(A, w), lambda q: kernel_by_difference(X, q), w)
 
 
 def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
@@ -257,14 +259,30 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
     Zero in exact arithmetic; what is measured here is rounding in the
     endpoint reduction mod 2pi (fmod is exact, only the float-pi drift
     enters) plus the complex exponentials.  A is truncated and checked
-    once and both observables are built from that block.
+    once; both kernels are certified as the operators' would be, and the
+    entries of E(X) and E(X+x) are formed and compared _TILE rows at a
+    time, so neither operator is held whole.
     """
 
     block, certificate = _normalized_block(A, w)
-    base = _observable(block, certificate, X, w).entries
-    shifted = _observable(block, certificate, shift_interval(X, x), w).entries
+    base = _by_difference(lambda q: kernel_by_difference(X, q), w.size)
+    shifted = _by_difference(lambda q: kernel_by_difference(shift_interval(X, x), q), w.size)
+    if certificate is not None:
+        for kernel in (base, shifted):
+            _certify_hermitian(certificate, kernel)
     phase = _by_difference(lambda q: np.exp(1j * q * x), w.size)
-    return float(np.max(np.abs(phase * base - shifted)))
+    defect = 0.0
+    for i in range(0, w.size, _TILE):
+        # Every product is bound to a name: numpy may compute an expression
+        # such as phase * (rows * base) in place in its temporary, which
+        # moves the last bits of the defect.
+        t = slice(i, i + _TILE)
+        rows = block[t]
+        base_rows = rows * base[t]
+        shifted_rows = rows * shifted[t]
+        rotated = phase[t] * base_rows
+        defect = max(defect, float(np.max(np.abs(rotated - shifted_rows))))
+    return defect
 
 
 def moment_kernel(k: int, q) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, UsageError
 from .matrices import hermitian_defect
-from .observables import IntervalSet, kernel_by_difference
+from .observables import IntervalSet, _by_difference, kernel_by_difference
 
 
 class NormMethod(Enum):
@@ -88,8 +88,7 @@ def half_circle_modulus_section(r: int) -> np.ndarray:
     if r < 0:
         raise UsageError(f"section order must be >= 0, got {r}")
     column = _half_circle_column(r)
-    idx = np.arange(r + 1)
-    return column[np.abs(idx[:, None] - idx[None, :])]
+    return _by_difference(lambda q: column[np.abs(q)], r + 1).copy()
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:

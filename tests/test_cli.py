@@ -247,6 +247,18 @@ def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write the report to") and "too long" in err
 
 
+def _run_capped(argv, limit):
+    """Run main(argv) in a child pinned to two CPUs whose address space is
+    capped at limit bytes (each thread of the child reserves address space
+    of its own, so the CPU count is fixed along with the cap)."""
+    child = ("import os, resource, sys; "
+             "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, timeout=300, env=_child_env())
+
+
 @pytest.mark.parametrize("argv", [
     ["noise-table", "--n", "0:300000000"], ["noise-table", "--l", "1:300000000"],
     ["asymptotic", "--l=-5:999999999999999999999"], ["noise-diagonal", "--n", "0:1000000"],
@@ -255,11 +267,7 @@ def test_over_long_list_exits_3_before_it_is_built(argv):
     """A --n, --l or --r list longer than the cap exits 3 naming the cap,
     in a child whose address space is capped at 2 GB: the list is never
     built, so the limit is not what stops it."""
-    child = ("import resource, sys; "
-             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
-                          text=True, timeout=120, env=_child_env())
+    proc = _run_capped(argv, 2 << 30)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("resource limit: ") and "cap of 1000000" in proc.stderr
 
@@ -269,19 +277,35 @@ def test_gram_row_memory_does_not_grow_with_the_tolerance():
     past the 64 MiB cache budget are drawn for each fetch and dropped, so
     it runs in a child whose address space is capped at 1 GiB (its own
     peak is about 0.4 GB); a cache that kept every block reached about
-    2.0 GB and stopped there with a MemoryError.  The child is pinned to
-    two CPUs, since each drawing thread reserves address space of its own."""
-    child = ("import os, resource, sys; "
-             "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
+    2.0 GB and stopped there with a MemoryError."""
     argv = ["noise-table", "--matrix", '{"kind": "gram", "domain": "Z", "seed": 1, "dim": 8}',
             "--n", "0", "--l", "1", "--tol", "3e-7"]
-    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
-                          text=True, timeout=300, env=_child_env())
+    proc = _run_capped(argv, 1 << 30)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560759251,"
                            "1.3547076060759358,1.3547079060759144,3680716\n")
+
+
+def test_covariance_at_the_window_cap_fits_in_1_gib():
+    """The covariance defect of a 4096-wide window holds the block and
+    O(64 N) of row tiles, not two operators and their grids: it runs under
+    a 1 GiB address-space cap (its own peak is about 0.4 GB; with dense
+    kernel, phase and index grids it needed about 1.4 GB)."""
+    argv = ["covariance-check", "--matrix", '{"kind": "chessboard", "domain": "Z", "xi": 0.5}',
+            "--window=-2048:2047"]
+    proc = _run_capped(argv, 1 << 30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ('{"window": [-2048, 2047], "shift": 1.5707963267948966, '
+                           '"defect": 1.2428498354583635e-16, "pass": true}\n')
+
+
+def test_out_of_memory_exits_3_without_a_traceback():
+    """A report that does not fit in the address space exits 3 with
+    numpy's message, like any other resource limit."""
+    proc = _run_capped(["observable", "--window=0:4095"], 1 << 30)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("resource limit: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_list_cap_boundary():

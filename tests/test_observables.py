@@ -173,11 +173,14 @@ def _dense_differences(w):
 
 @pytest.mark.parametrize("w", [cn.IndexWindow(0, 0), cn.IndexWindow(0, 6),
                                cn.IndexWindow(0, 511), cn.IndexWindow(-1, -1),
-                               cn.IndexWindow(-3, 3), cn.IndexWindow(-256, 255)])
+                               cn.IndexWindow(-3, 3), cn.IndexWindow(-256, 255),
+                               cn.IndexWindow(0, 199)])
 def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
-    """Kernels evaluated on the 2N - 1 differences and spread to the grid
+    """Kernels evaluated on the 2N - 1 differences and viewed as the grid
     equal the dense evaluation on idx[:, None] - idx[None, :], and so do
-    the operators built from them."""
+    the operators built from them; the grid is a read-only view.  The
+    windows on N use a gram block (not unimodular), one of side 200, not a
+    multiple of the row tile."""
     X = cn.IntervalSet.from_pairs([(0.3, 1.9), (2.5, 5.0)])
     x = 2.1
     d = _dense_differences(w)
@@ -186,7 +189,10 @@ def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
                lambda q: cn.moment_kernel(2, q),
                lambda q: np.exp(1j * q * x)]
     for f in kernels:
-        assert np.array_equal(_bits(_by_difference(f, w.size)), _bits(f(d)))
+        grid = _by_difference(f, w.size)
+        assert np.array_equal(_bits(grid), _bits(f(d)))
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.0
     domain = Z if w.lo < 0 else N
     A = cn.seeded_gram(domain, 8, seed=4) if domain is N else cn.seeded_torus(domain, seed=4)
     block = cn.truncate(A, w)
@@ -205,22 +211,22 @@ def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
     (cn.chessboard(Z, cn.ChessboardParams(0.6)), cn.IndexWindow(-100, 99)),
 ])
 def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
-    """One truncation serves both observables, and the defect is the same
-    float as from two separate dense truncations and kernels (inline
-    products of fresh temporaries would move its last bits)."""
-    truncations, checked = [], []
-
-    class CountedOperator(cn.TruncatedOperator):
-        def __post_init__(self):
-            checked.append(self.hermitian)
-            super().__post_init__()
-
+    """One truncation serves both observables, both kernels are certified
+    with the block's certificate, and the defect, reduced row tile by row
+    tile, is the same float as from two separate dense truncations and
+    kernels (inline products of fresh temporaries would move its last
+    bits)."""
+    truncations, certified = [], []
+    certify = observables._certify_hermitian
     monkeypatch.setattr(observables, "truncate",
                         lambda *args: truncations.append(1) or cn.truncate(*args))
-    monkeypatch.setattr(observables, "TruncatedOperator", CountedOperator)
+    monkeypatch.setattr(observables, "_certify_hermitian",
+                        lambda certificate, kernel: certified.append(certificate)
+                        or certify(certificate, kernel))
     rng = np.random.default_rng(3)
     d = _dense_differences(w)
     block = cn.truncate(A, w)
+    certificate = (hermitian_defect(block), float(np.max(np.abs(block))))
     for _ in range(8):
         ends = np.sort(rng.uniform(0.0, TWO_PI, size=4))
         X = cn.IntervalSet.from_pairs(ends.reshape(-1, 2))
@@ -231,10 +237,10 @@ def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
         shifted = block * shifted_kernel
         phase = np.exp(1j * d * x)
         expected = float(np.max(np.abs(phase * base - shifted)))
-        before = len(truncations), len(checked)
+        before = len(truncations), len(certified)
         assert cn.covariance_defect(A, X, x, w).hex() == expected.hex()
-        assert (len(truncations), len(checked)) == (before[0] + 1, before[1] + 2)
-        assert checked[-2:] == [A.hermitian] * 2
+        assert (len(truncations), len(certified)) == (before[0] + 1, before[1] + 2)
+        assert certified[-2:] == [certificate] * 2
 
 
 def test_truncated_operator_checks_hermiticity():
