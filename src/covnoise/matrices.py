@@ -33,6 +33,9 @@ _BATCH = 16
 # Rows per tile of the reductions over a dense block (hermitian_defect and
 # the covariant builders in observables), so no N x N temporary is formed.
 _TILE = 64
+# Indices lie in |n| < 2^61, so n plus or minus the 10^8-term cap of a row
+# sum, and its zigzag index, fit in int64.
+INDEX_BOUND = 1 << 61
 
 
 def window_cap() -> int:
@@ -54,7 +57,7 @@ class IndexDomain(Enum):
     INTEGERS = "Z"
 
     def contains(self, n: int) -> bool:
-        return self is IndexDomain.INTEGERS or n >= 0
+        return -INDEX_BOUND < n < INDEX_BOUND and (self is IndexDomain.INTEGERS or n >= 0)
 
 
 class Orientation(Enum):
@@ -85,6 +88,8 @@ class IndexWindow:
     def validate_for(self, domain: IndexDomain) -> None:
         if domain is IndexDomain.NATURALS and self.lo < 0:
             raise UsageError(f"window {self} has negative indices on the naturals")
+        if not -INDEX_BOUND < self.lo <= self.hi < INDEX_BOUND:
+            raise UsageError(f"window {self} reaches past |n| < 2^61, the addressable indices")
 
     def __str__(self) -> str:
         return f"{self.lo}:{self.hi}"
@@ -121,8 +126,8 @@ class RowModulusProfile:
     A builder declares a profile when the modulus of its entries depends
     only on residues of the row index and of the offset j from the
     diagonal (j != 0).  The summation layer then encloses each residue
-    class of a row tail by a Hurwitz zeta bound instead of the generic
-    one-sided |A| <= 1 bound.
+    class of a row tail by a Hurwitz zeta bound with its weight; without
+    a profile a row is one class whose weight is only known in [0, 1].
     """
 
     period: int
@@ -197,9 +202,12 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
     else:
         even_val, odd_val = params.xi, 1.0
 
+    values = np.array([even_val, odd_val], dtype=np.complex128)
+
     def entry(n, m):
-        vals = np.where((n + m) % 2 == 0, even_val, odd_val)
-        return vals.astype(np.complex128)[()]
+        # the parity of n + m as one byte per entry, then one gather
+        odd = (np.asarray(n) & 1).astype(np.uint8) ^ (np.asarray(m) & 1).astype(np.uint8)
+        return values[odd][()]
 
     # n + (n + j) has the parity of j, so the modulus depends on j mod 2 only
     if params.xi == 1.0:

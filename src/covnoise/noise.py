@@ -10,9 +10,10 @@ nonnegative because |A| <= 1 and the full lattice sum of 1/(k - n)^2 is
 pi^2/3 on the integers (pi^2/6 plus a partial sum on the naturals).
 Every computed quantity carries a certified bracket [lower, upper]: a
 head summed from the entry oracle plus an enclosed tail (Euler-Maclaurin
-per residue class for rows with a declared modulus profile, |A| <= 1
-otherwise), widened by a floating-point rounding allowance and rounded
-outward, never a heuristic convergence check.
+per residue class of a declared modulus profile; a row without one is one
+class whose weight is only known to lie in [0, 1]), widened by a
+floating-point rounding allowance and rounded outward, never a heuristic
+convergence check.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .matrices import IndexDomain, IndexWindow, ChessboardParams, Orientation, S
 
 _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
-_CHUNK = 1 << 19
-# offsets per side in one oracle call of a row sum: 2^18 values, 32 MiB of C^8 vectors
-_FETCH = 1 << 17
+# offsets per side in one block of a row sum: 2^18 values, 32 MiB of C^8 vectors
+_CHUNK = 1 << 17
 _UNIT = 2.0**-53
 # above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
 _LATTICE_BOUND = 3.3
@@ -159,12 +159,13 @@ def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
     """The bracket plan for row n with a head reaching up offsets above n
     and down offsets below it.
 
-    A row with a declared profile gets, per direction and residue class s
-    of the offset, the tail w^l * zeta(2, a)/p^2 enclosed by
-    Euler-Maclaurin; on the naturals the segment below n past the head is
-    the difference of two such tails.  A row without one gets the
-    one-sided bound [0, 1/reach] per side from |A| <= 1.  A side whose
-    head reaches the end of the row (index 0 on the naturals) has no tail.
+    Per direction and residue class s of the offset, the tail is
+    w^l * zeta(2, a)/p^2, enclosed by Euler-Maclaurin; on the naturals the
+    segment below n past the head is the difference of two such tails.  A
+    declared profile gives each class its weight w^l; a row without one is
+    one class (p = 1) whose weight is only known to lie in [0, 1], from
+    |A| <= 1.  A side whose head reaches the end of the row (index 0 on the
+    naturals) has no tail.
 
     The rounding allowance is gamma_N times the largest magnitude in play,
     N = head block length + 5l + 2p + 40: it covers the head sum (any
@@ -180,19 +181,16 @@ def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
     for sign, reach, end in ((1, up, None), (-1, down, below_end)):
         if end is not None and end <= reach:
             continue
-        if profile is None:
-            hi, mag = hi + 1.0 / reach, mag + 1.0 / reach
-            continue
         for s in range(p):
-            w = profile.weight(n, sign * s) ** l
-            if w == 0.0:
+            w_lo, w_hi = (0.0, 1.0) if profile is None else (profile.weight(n, sign * s) ** l,) * 2
+            if w_hi == 0.0:
                 continue
             a_lo, a_hi = _class_tail(reach, s, p)
             # on the naturals the class stops at offset n (index 0)
             b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
-            lo += w * (a_lo - b_hi)
-            hi += w * (a_hi - b_lo)
-            mag += w * (a_hi + b_hi)
+            lo += w_lo * (a_lo - b_hi)
+            hi += w_hi * (a_hi - b_lo)
+            mag += w_hi * (a_hi + b_hi)
     ref = _REF_BASE**l
     coeff = _tail_coefficient(l)
     block = min(max(up, down), _CHUNK)
@@ -225,29 +223,20 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
     """
 
     def plan(k: int) -> _Plan:
-        # on the naturals a row without a profile sums its whole segment
-        # below n; a profiled row encloses it past k, so it costs O(k) terms
-        down = k if A.domain is IndexDomain.INTEGERS else q.n if A.profile is None else min(k, q.n)
-        return _row_plan(A, q.n, q.l, k, down)
+        # on the naturals the segment below n past k is enclosed, so a row costs O(k) terms
+        return _row_plan(A, q.n, q.l, k, k if A.domain is IndexDomain.INTEGERS else min(k, q.n))
 
     cap = DEFAULT_TERM_CAP
     # from one period on, doubling the cutoff moves every residue class
     lo, cur = 0, plan(1 if A.profile is None else A.profile.period)
-    if cur.terms > cap:
-        raise ResourceLimitError(
-            f"index {q.n} on the naturals puts {q.n} terms below the diagonal, over the "
-            f"term cap {cap}; {A.label} declares no row-modulus profile, so no "
-            f"tolerance brings the count under the cap")
     while cur.width > q.tol:
         k = cur.up
         nxt = plan(2 * k)
         if nxt.terms > cap:
             nxt = plan(_first(k, 2 * k, lambda j: plan(j).terms > cap) - 1)
             if nxt.width > q.tol:
-                below = f", {nxt.down} of them below the diagonal at index {q.n}" \
-                    if nxt.down > nxt.up else ""
                 raise ResourceLimitError(
-                    f"tolerance {q.tol:g} needs more than {cap} terms{below}; the smallest "
+                    f"tolerance {q.tol:g} needs more than {cap} terms; the smallest "
                     f"achievable tolerance within the term cap is {_round_up(nxt.width)}")
         elif nxt.width >= cur.width:
             # the narrowest plan lies in (lo, 2k]; this happens only near the floor
@@ -267,12 +256,12 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
     over j = 1..down.
 
-    Offsets are evaluated outward in blocks of _CHUNK; each side of a
-    block is summed by numpy and the sums are combined with exact
-    compensated addition, so the result does not depend on how far the row
-    reaches.  The oracle is called on _FETCH offsets of both sides at once,
-    so sides that share per-index data (on the integers, seeded values
-    drawn in blocks of zigzag indices) fetch it once.
+    Offsets are evaluated outward in blocks of _CHUNK a side, both sides of
+    a block in one oracle call, so sides that share per-index data (on the
+    integers, seeded values drawn in blocks of zigzag indices) fetch it
+    once.  Each side of a block is summed by numpy and the sums are
+    combined with exact compensated addition, so the result does not
+    depend on how far the row reaches.
     """
 
     pieces: list[float] = []
@@ -280,15 +269,9 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     for start in range(1, reach + 1, _CHUNK):
         js = np.arange(start, min(start + _CHUNK, reach + 1))
         inv = 1.0 / (js.astype(float) ** 2)
-        ups, downs = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
-        sides: tuple[list, list] = ([], [])
-        for lo in range(0, max(ups.size, downs.size), _FETCH):
-            u, d = ups[lo:lo + _FETCH], downs[lo:lo + _FETCH]
-            got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
-            sides[0].append(got[:u.size])
-            sides[1].append(got[u.size:])
-        for parts in sides:
-            mags = parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy for one
+        u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
+        got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
+        for mags in (got[:u.size], got[u.size:]):
             if mags.size:
                 pieces.append(float(np.sum(mags**l * inv[:mags.size])))
     return math.fsum(pieces)
@@ -297,7 +280,8 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
 def check_query(A: StructureMatrix, q: NoiseQuery) -> NoiseQuery:
     """q, once its index is known to lie in the domain of A."""
     if not A.domain.contains(q.n):
-        raise UsageError(f"index {q.n} is not in {A.domain}")
+        raise UsageError(f"index {q.n} is not in the {A.domain.name.lower()}; addressable "
+                         f"indices have |n| < 2^61")
     return q
 
 

@@ -282,8 +282,8 @@ def test_gram_row_memory_does_not_grow_with_the_tolerance():
             "--n", "0", "--l", "1", "--tol", "3e-7"]
     proc = _run_capped(argv, 1 << 30)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560759251,"
-                           "1.3547076060759358,1.3547079060759144,3680716\n")
+    assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560182581,"
+                           "1.3547076060182623,1.3547079060182536,3676822\n")
 
 
 def test_covariance_at_the_window_cap_fits_in_1_gib():
@@ -341,6 +341,32 @@ def test_exit_codes(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run_cli(capsys, "noise-table", "--matrix", str(missing))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise-table", "--n", "1000000000000000000000000000000"],
+    ["observable", "--matrix", _GRAM_Z, "--window", "4611686018427387904:4611686018427387905"],
+    ["observable", "--matrix", _GRAM_Z, "--window", "9223372036854775800:9223372036854775807"],
+    ["noise-table", "--matrix", '{"kind": "constant_one", "domain": "Z"}',
+     "--n=9223372036854775807"],
+    ["noise-table", "--matrix", _GRAM_Z, "--n", str(-2**61), "--tol", "1e-2"],
+], ids=["table-1e30", "window-2^62", "window-int64-top", "table-int64-max", "table-minus-2^61"])
+def test_indices_past_the_addressable_bound_are_usage_errors(capsys, argv):
+    """Indices must satisfy |n| < 2^61, where n plus or minus the term cap and
+    its zigzag index fit in int64; past it the CLI exits 2 naming the bound."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "2^61" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", ["N", "Z"])
+def test_gram_row_at_the_top_addressable_index(capsys, domain):
+    spec = json.dumps({"kind": "gram", "domain": domain, "seed": 1, "dim": 8})
+    code, out, err = run_cli(capsys, "noise-table", "--matrix", spec,
+                             "--n", str(2**61 - 1), "--tol", "1e-2")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert row[0] == str(2**61 - 1) and float(row[4]) - float(row[3]) <= 1e-2
 
 
 def test_spec_number_that_is_not_a_float_exits_2(capsys):

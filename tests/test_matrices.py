@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ def test_window_basics():
 def test_domain_membership():
     assert N.contains(0) and N.contains(7) and not N.contains(-1)
     assert Z.contains(-7)
+    bound = matrices.INDEX_BOUND
+    assert bound == 2**61 and Z.contains(1 - bound) and N.contains(bound - 1)
+    assert not Z.contains(bound) and not Z.contains(-bound) and not N.contains(bound)
+    cn.IndexWindow(1 - bound, bound - 1).validate_for(Z)
+    for w in (cn.IndexWindow(0, bound), cn.IndexWindow(-bound, 0)):
+        with pytest.raises(UsageError, match="2\\^61"):
+            w.validate_for(Z)
 
 
 @pytest.mark.parametrize("matrix", sample_matrices(), ids=lambda m: m.label)
@@ -84,6 +92,23 @@ def test_chessboard_pattern():
     assert B.profile == cn.RowModulusProfile(2, ((0.25, 1.0), (0.25, 1.0)))
     with pytest.raises(UsageError):
         cn.ChessboardParams(1.5)
+
+
+def test_chessboard_block_holds_one_byte_per_entry_beyond_itself():
+    """A chessboard truncation forms the parity of n + m as one uint8 grid and
+    gathers from the two values, so it peaks within 2 MiB of the block."""
+    A = cn.chessboard(Z, cn.ChessboardParams(0.5))
+    w = cn.IndexWindow(-512, 511)
+    tracemalloc.start()
+    try:
+        block = cn.truncate(A, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1024, 1024)
+    assert peak <= block.nbytes + (2 << 20)
+    n, m = np.meshgrid(w.indices(), w.indices(), indexing="ij")
+    assert np.array_equal(block, np.where((n + m) % 2 == 0, 1.0, 0.5))
 
 
 def test_profiles_propagate_through_products():

@@ -193,13 +193,38 @@ def test_term_cap_reports_achievable_tolerance():
     assert v.lower <= closed <= v.upper
 
 
-def test_term_cap_blames_the_index_on_the_naturals():
+def test_rows_without_a_profile_on_the_naturals_cost_o_k_terms():
+    """A row without a profile encloses its segment below n past the cutoff,
+    like a profiled one, so its terms do not grow with n and only the
+    tolerance can meet the term cap."""
     A = cn.seeded_gram(N, 8, seed=2)
-    with pytest.raises(ResourceLimitError, match="no tolerance") as info:
-        cn.noise_value(A, cn.NoiseQuery(10**8 + 5, 2, 1e-2))
-    assert "index 100000005" in str(info.value)
-    with pytest.raises(ResourceLimitError, match="below the diagonal at index 99999990"):
-        cn.noise_value(A, cn.NoiseQuery(99_999_990, 2, 1e-6))
+    for n, tol in ((10**8 + 5, 1e-2), (99_999_990, 1e-6)):
+        v = cn.noise_value(A, cn.NoiseQuery(n, 2, tol))
+        assert v.width <= tol and v.lower <= v.value <= v.upper
+        assert v.cutoff <= 4.0 / tol
+
+
+def _unprofiled_constant_one(domain):
+    """constant_one's entries with no declared profile: only |A| <= 1 is known."""
+    one = cn.constant_one(domain)
+    return cn.StructureMatrix(domain, one.entry, f"unprofiled {one.label}")
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_rows_without_a_profile_bracket_the_exact_noise(l):
+    """For all-ones entries, s_n(l) = 0 on Z and c(l) * zeta(2, n + 1) on N,
+    the part of the lattice sum below index 0.  Without a profile the tail
+    is a class of weight in [0, 1], and its brackets hold these values."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    coeff = (mp.pi / mp.sqrt(3)) ** l * 3 / mp.pi**2
+    cases = [(Z, n) for n in (0, -7, 10**8 + 5)] + \
+        [(N, n) for n in (0, 1, 5, 1000, 10**6, 10**8 + 5)]
+    for domain, n in cases:
+        v = cn.noise_value(_unprofiled_constant_one(domain), cn.NoiseQuery(n, l, 1e-6))
+        exact = 0 if domain is Z else coeff * mp.zeta(2, n + 1)
+        assert v.width <= 1e-6
+        assert mp.mpf(v.lower) <= exact <= mp.mpf(v.upper), (domain, n)
 
 
 def test_class_tail_encloses_hurwitz_zeta():
