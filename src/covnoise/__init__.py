@@ -15,9 +15,6 @@ from .matrices import (
     constant_one,
     gram_from_vectors,
     matrix_from_spec,
-    modulus,
-    phase_conjugate_multiplier,
-    schur_product,
     seeded_gram,
     seeded_torus,
     torus_from_phases,
@@ -58,7 +55,6 @@ from .schur_analysis import (
     NormEstimate,
     NormMethod,
     block_diagonal_norm_divergence,
-    half_circle_modulus_section,
     modulus_growth_table,
     operator_norm,
     sylvester_hadamard,

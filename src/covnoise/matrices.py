@@ -12,11 +12,10 @@ block costs 2N fetches and a row entry(n, n + offsets) costs k + 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -136,15 +135,6 @@ class RowModulusProfile:
     def weight(self, n: int, j: int) -> float:
         return self.table[n % self.period][j % self.period]
 
-    def times(self, other: RowModulusProfile | None) -> RowModulusProfile | None:
-        """Profile of the entrywise product with a matrix of profile other."""
-        if other is None:
-            return None
-        p = math.lcm(self.period, other.period)
-        return RowModulusProfile(p, tuple(
-            tuple(self.weight(r, s) * other.weight(r, s) for s in range(p))
-            for r in range(p)))
-
 
 UNIMODULAR = RowModulusProfile(1, ((1.0,),))
 
@@ -153,16 +143,15 @@ UNIMODULAR = RowModulusProfile(1, ((1.0,),))
 class StructureMatrix:
     """Entry oracle for an infinite matrix with entries in the unit disk.
 
-    entry is pure and deterministic.  hermitian and profile are
-    structural facts about the builder, not runtime checks: profile, when
-    given, declares the off-diagonal moduli by residue class (see
-    RowModulusProfile); None means only |entry| <= 1 is known.
+    entry is pure, deterministic and Hermitian by contract (the operator
+    builders certify that on each block).  profile, when given, declares
+    the off-diagonal moduli by residue class (see RowModulusProfile), a
+    structural fact about the builder; None means only |entry| <= 1 is known.
     """
 
     domain: IndexDomain
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
-    hermitian: bool = True
     profile: RowModulusProfile | None = None
 
 
@@ -170,8 +159,7 @@ def constant_one(domain: IndexDomain) -> StructureMatrix:
     def entry(n, m):
         return np.ones(np.broadcast_shapes(np.shape(n), np.shape(m)), dtype=np.complex128)[()]
 
-    return StructureMatrix(domain, entry, f"constant_one[{domain.value}]",
-                           hermitian=True, profile=UNIMODULAR)
+    return StructureMatrix(domain, entry, f"constant_one[{domain.value}]", profile=UNIMODULAR)
 
 
 def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
@@ -184,8 +172,7 @@ def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
         return np.exp(1j * (np.asarray(nu(n), dtype=float)
                             - np.asarray(nu(m), dtype=float)))[()]
 
-    return StructureMatrix(domain, entry, label or f"torus[{domain.value}]",
-                           hermitian=True, profile=UNIMODULAR)
+    return StructureMatrix(domain, entry, label or f"torus[{domain.value}]", profile=UNIMODULAR)
 
 
 def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix:
@@ -215,7 +202,7 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
     else:
         profile = RowModulusProfile(2, ((even_val, odd_val), (even_val, odd_val)))
     label = f"chessboard(xi={params.xi:g},{params.orientation.value})[{domain.value}]"
-    return StructureMatrix(domain, entry, label, hermitian=True, profile=profile)
+    return StructureMatrix(domain, entry, label, profile=profile)
 
 
 def gram_from_vectors(domain: IndexDomain,
@@ -244,7 +231,7 @@ def gram_from_vectors(domain: IndexDomain,
     def entry(n, m):
         return np.einsum("...d,...d->...", np.conj(fetch(n)), fetch(m))[()]
 
-    return StructureMatrix(domain, entry, label or f"gram[{domain.value}]", hermitian=True)
+    return StructureMatrix(domain, entry, label or f"gram[{domain.value}]")
 
 
 def _check_unit(rows: np.ndarray, index_of: Callable[[int], int]) -> None:
@@ -252,7 +239,7 @@ def _check_unit(rows: np.ndarray, index_of: Callable[[int], int]) -> None:
     within 1e-9; index_of(i) is the index that names row i."""
     parts = np.ascontiguousarray(rows).view(np.float64)
     norms = np.sqrt(np.einsum("...d,...d->...", parts, parts))
-    bad = np.nonzero(np.abs(norms - 1.0) > 1e-9)[0]
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= 1e-9))[0]  # NaN norms fail too
     if bad.size:
         raise UsageError(f"gram vector at index {index_of(int(bad[0]))} has norm "
                          f"{norms[bad[0]]!r}, expected 1")
@@ -280,50 +267,6 @@ def hermitian_defect(M: np.ndarray) -> float:
 
     return float(np.max([np.max(np.abs(M[i:i + _TILE, i:] - M[i:, i:i + _TILE].conj().T))
                          for i in range(0, M.shape[0], _TILE)], initial=0.0))
-
-
-def schur_product(a: StructureMatrix, b: StructureMatrix) -> StructureMatrix:
-    """Entrywise product; closed on the unit-disk class."""
-
-    if a.domain is not b.domain:
-        raise UsageError(f"schur product needs matching domains, got {a.domain} and {b.domain}")
-
-    def entry(n, m):
-        return np.asarray(a.entry(n, m)) * np.asarray(b.entry(n, m))
-
-    return StructureMatrix(a.domain, entry, f"({a.label})*({b.label})",
-                           hermitian=a.hermitian and b.hermitian,
-                           profile=None if a.profile is None else a.profile.times(b.profile))
-
-
-def modulus(a: StructureMatrix) -> StructureMatrix:
-    def entry(n, m):
-        return np.abs(np.asarray(a.entry(n, m))).astype(np.complex128)[()]
-
-    return StructureMatrix(a.domain, entry, f"|{a.label}|",
-                           hermitian=True, profile=a.profile)
-
-
-def phase_conjugate_multiplier(a: StructureMatrix) -> StructureMatrix:
-    """conj(a)/|a| where a is nonzero, 0 where a vanishes.
-
-    Schur-multiplying a by this matrix yields modulus(a); it is the
-    multiplier whose boundedness separates a from |a|.
-    """
-
-    def entry(n, m):
-        vals = np.asarray(a.entry(n, m), dtype=np.complex128)
-        mags = np.abs(vals)
-        safe = np.where(mags == 0.0, 1.0, mags)
-        out = np.where(mags == 0.0, 0.0 + 0.0j, np.conj(vals) / safe)
-        return out[()]
-
-    profile = a.profile
-    if profile is not None:
-        profile = RowModulusProfile(profile.period, tuple(
-            tuple(1.0 if w > 0.0 else 0.0 for w in row) for row in profile.table))
-    return StructureMatrix(a.domain, entry, f"phase_conj({a.label})",
-                           hermitian=a.hermitian, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -551,9 +494,12 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
 
 def _spec_float(value, field: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"spec field {field} must be a float, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise UsageError(f"spec field {field} must be a finite float, got {value!r}")
+    return number
 
 
 def _complex_from_pair(value, field: str) -> complex:

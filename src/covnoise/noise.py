@@ -30,6 +30,8 @@ from .matrices import IndexDomain, IndexWindow, ChessboardParams, Orientation, S
 
 _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
+# pi^(l-2) in the closed forms overflows a double from l = 623 on
+MAX_ORDER = 622
 # offsets per side in one block of a row sum: 2^18 values, 32 MiB of C^8 vectors
 _CHUNK = 1 << 17
 _UNIT = 2.0**-53
@@ -43,6 +45,9 @@ EVEN_INVERSE_SQUARES_TOTAL = math.pi**2 / 24.0
 def _validate_order(l: int) -> None:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise UsageError(f"moment order must be an integer >= 1, got {l!r}")
+    if l > MAX_ORDER:
+        raise UsageError(f"moment order must be at most {MAX_ORDER}, the largest l for which "
+                         f"pi^(l-2) fits in a double, got {l}")
 
 
 def reference_moment(l: int) -> float:

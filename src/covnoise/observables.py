@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,37 +155,28 @@ def kernel_by_difference(X: IntervalSet, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense operator block on a window; validated Hermitian when flagged:
-    densely here, or in O(N) by the builders below (see _certify_hermitian)."""
+    """Dense operator block on a window.  Every builder below certifies it
+    Hermitian in O(N) (see _certify_hermitian) before it is made."""
 
     window: IndexWindow
     entries: np.ndarray
-    hermitian: bool = True
-    _certified: bool = field(default=False, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.entries.shape != (self.window.size, self.window.size):
             raise UsageError(f"entries shape {self.entries.shape} does not match "
                              f"window {self.window}")
-        if self.hermitian and not self._certified:
-            defect = hermitian_defect(self.entries)
-            if defect > 1e-12:
-                raise ContractViolationError(
-                    f"operator flagged Hermitian deviates by {defect:.3e}")
 
 
 def _normalized_block(A: StructureMatrix,
-                      w: IndexWindow) -> tuple[np.ndarray, tuple[float, float] | None]:
-    """The w-truncation of A, checked for a unit diagonal, and for a
-    Hermitian A its Hermitian defect and largest modulus (see
-    _certify_hermitian), both read in row tiles."""
+                      w: IndexWindow) -> tuple[np.ndarray, tuple[float, float]]:
+    """The w-truncation of A, checked for a unit diagonal, with its
+    Hermitian defect and largest modulus (see _certify_hermitian), both
+    read in row tiles."""
     block = truncate(A, w)
     diag_defect = float(np.max(np.abs(np.diagonal(block) - 1.0)))
     if diag_defect > 1e-12:
         raise UsageError(f"{A.label} is not normalized on {w}: diagonal deviates "
                          f"from 1 by {diag_defect:.3e}")
-    if not A.hermitian:
-        return block, None
     block_max = max(float(np.max(np.abs(block[i:i + _TILE]))) for i in range(0, w.size, _TILE))
     return block, (hermitian_defect(block), block_max)
 
@@ -217,7 +208,7 @@ def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> 
     within sqrt(2) gamma_2 |B||k| of its exact value (Higham, Lemma 3.5),
     with 2 sqrt(2) gamma_2 < 6u; the factor 1 + 16u covers the rounding of
     the four maxima (3u each) and of the bound.  The bound is held to the
-    1e-12 of the dense check in TruncatedOperator.
+    1e-12 that the operator_norm solve accepts as Hermitian.
     """
 
     block_defect, block_max = certificate
@@ -229,20 +220,18 @@ def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> 
              + 6.0 * u * block_max * kernel_max) * (1.0 + 16.0 * u)
     if not bound <= 1e-12:
         raise ContractViolationError(
-            f"operator flagged Hermitian deviates by up to {bound:.3e} (block "
+            f"operator deviates from Hermitian by up to {bound:.3e} (block "
             f"defect {block_defect:.3e}, kernel defect {kernel_defect:.3e})")
 
 
-def _covariant(block: np.ndarray, certificate: tuple[float, float] | None, f,
+def _covariant(block: np.ndarray, certificate: tuple[float, float], f,
                w: IndexWindow) -> TruncatedOperator:
-    """P = block * k(n - m) for k = f, flagged Hermitian when the block is,
-    certified in O(N) by _certify_hermitian, not by a dense pass over P."""
+    """P = block * k(n - m) for k = f, certified Hermitian in O(N) by
+    _certify_hermitian, not by a dense pass over P."""
 
     kernel = _by_difference(f, w.size)
-    if certificate is not None:
-        _certify_hermitian(certificate, kernel)
-    entries = block * kernel
-    return TruncatedOperator(w, entries, hermitian=certificate is not None, _certified=True)
+    _certify_hermitian(certificate, kernel)
+    return TruncatedOperator(w, block * kernel)
 
 
 def observable_operator(A: StructureMatrix, X: IntervalSet,
@@ -267,9 +256,8 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
     block, certificate = _normalized_block(A, w)
     base = _by_difference(lambda q: kernel_by_difference(X, q), w.size)
     shifted = _by_difference(lambda q: kernel_by_difference(shift_interval(X, x), q), w.size)
-    if certificate is not None:
-        for kernel in (base, shifted):
-            _certify_hermitian(certificate, kernel)
+    for kernel in (base, shifted):
+        _certify_hermitian(certificate, kernel)
     phase = _by_difference(lambda q: np.exp(1j * q * x), w.size)
     defect = 0.0
     for i in range(0, w.size, _TILE):

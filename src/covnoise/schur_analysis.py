@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, UsageError
 from .matrices import hermitian_defect
-from .observables import IntervalSet, _by_difference, kernel_by_difference
+from .observables import IntervalSet, kernel_by_difference
 
 
 class NormMethod(Enum):
@@ -79,16 +79,6 @@ def _half_circle_column(r: int) -> np.ndarray:
     """First column of the section B_r = |i_{[0,pi]}| on indices 0..r."""
     half = IntervalSet.from_pairs([(0.0, math.pi)])
     return np.abs(kernel_by_difference(half, np.arange(r + 1)))
-
-
-def half_circle_modulus_section(r: int) -> np.ndarray:
-    """(r+1) x (r+1) section of |i_{[0,pi]}|: 1/2 on the diagonal,
-    1/(pi |n-m|) at odd distances, 0 at even ones."""
-
-    if r < 0:
-        raise UsageError(f"section order must be >= 0, got {r}")
-    column = _half_circle_column(r)
-    return _by_difference(lambda q: column[np.abs(q)], r + 1).copy()
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:

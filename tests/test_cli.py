@@ -376,6 +376,48 @@ def test_spec_number_that_is_not_a_float_exits_2(capsys):
     assert err.startswith("error: spec field xi must be a float")
 
 
+_SLOPE = '{"kind":"torus","domain":"Z","phases":{"formula":"linear","slope":%s}}'
+_NAN_PHASE = '{"kind":"torus","phases":[0,"nan",1]}'
+_NAN_VECTOR = '{"kind":"gram","vectors":[[[1,0]],[["nan",0]]]}'
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["noise-table", "--matrix", _SLOPE % '"nan"'], "phases.slope"),
+    (["noise-table", "--matrix", _SLOPE % '"inf"'], "phases.slope"),
+    (["noise-table", "--matrix", _SLOPE % "NaN"], "phases.slope"),
+    (["observable", "--matrix", _NAN_PHASE, "--window", "0:2"], "phases[1]"),
+    (["covariance-check", "--matrix", _NAN_PHASE, "--window", "0:2"], "phases[1]"),
+    (["observable", "--matrix", _NAN_VECTOR, "--window", "0:1"], "vectors[1][0][0]"),
+    (["covariance-check", "--matrix", _NAN_VECTOR, "--window", "0:1"], "vectors[1][0][0]"),
+], ids=["slope-nan", "slope-inf", "slope-json-nan", "observable-phase", "covariance-phase",
+        "observable-vector", "covariance-vector"])
+def test_non_finite_spec_values_exit_2(capsys, argv, field):
+    """A non-finite number in a matrix spec is bad usage, not a failed check."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: spec field {field} must be a finite float")
+
+
+def test_huge_finite_slope_is_accepted(capsys):
+    code, out, err = run_cli(capsys, "noise-table", "--matrix", _SLOPE % "1e300",
+                             "--n", "0", "--l", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("n,l,value,lower,upper,cutoff\n0,1,")
+
+
+@pytest.mark.parametrize("command", [["noise-table", "--n", "0"], ["asymptotic"]])
+@pytest.mark.parametrize("l, code", [(622, 0), (623, 2), (2000, 2)])
+def test_moment_order_is_bounded_where_a_double_holds_it(capsys, command, l, code):
+    """pi^(l-2) overflows a double from l = 623 on: larger orders exit 2
+    naming the bound, not with an OverflowError."""
+    got, out, err = run_cli(capsys, *command, "--l", str(l), "--tol", "1e200")
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: moment order must be at most 622")
+    else:
+        assert err == "" and str(l) in out.splitlines()[1].split(",")
+
+
 def test_below_floor_tolerance_exits_3_and_names_the_floor(capsys):
     spec = '{"kind":"chessboard","domain":"Z","xi":0.5}'
     code, out, err = run_cli(capsys, "noise-table", "--tol", "1e-16", "--matrix", spec,

@@ -244,9 +244,8 @@ def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
 
 
 def test_truncated_operator_checks_hermiticity():
-    bad = np.asarray([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-    with pytest.raises(ContractViolationError):
-        cn.TruncatedOperator(cn.IndexWindow(0, 1), bad)
+    """Hermiticity is certified by the builders (see the tests below); the
+    dataclass itself checks the shape of its entries."""
     with pytest.raises(UsageError):
         cn.TruncatedOperator(cn.IndexWindow(0, 2), np.eye(2, dtype=np.complex128))
 
@@ -274,7 +273,6 @@ def test_covariant_operators_hermitian_against_dense_oracle(A, w, monkeypatch):
            cn.moment_operator(A, 2, w)]
     assert calls == [(w.size, w.size)] * 3
     for op in ops:
-        assert op.hermitian is True
         assert _dense_hermitian_defect(op.entries) <= 1e-12
     calls.clear()
     cn.covariance_defect(A, X, 0.7, w)
@@ -282,19 +280,18 @@ def test_covariant_operators_hermitian_against_dense_oracle(A, w, monkeypatch):
 
 
 def _broken_hermitian(A):
-    """A flagged Hermitian whose entry (0, 1) drops the conjugate of (1, 0)."""
+    """A whose entry (0, 1) drops the conjugate of (1, 0)."""
     def entry(n, m):
         out = np.array(A.entry(n, m), dtype=np.complex128)
         if out.ndim == 2 and out.shape[0] > 1:
             out[0, 1] = out[1, 0]
         return out
-    return cn.StructureMatrix(A.domain, entry, "broken", hermitian=True)
+    return cn.StructureMatrix(A.domain, entry, "broken")
 
 
 def test_builders_refuse_non_hermitian_block_and_kernel(monkeypatch):
     """The O(N) certificate rejects a block that is not Hermitian and a
-    kernel with k(-q) != conj(k(q)), which the dense oracle also rejects;
-    a block flagged non-Hermitian is built unchecked and unflagged."""
+    kernel with k(-q) != conj(k(q)), which the dense oracle also rejects."""
     w = cn.IndexWindow(-20, 20)
     X = cn.IntervalSet.from_pairs([(0.3, 1.9)])
     torus = cn.seeded_torus(Z, seed=3)
@@ -305,10 +302,6 @@ def test_builders_refuse_non_hermitian_block_and_kernel(monkeypatch):
                   lambda A: cn.covariance_defect(A, X, 0.4, w)):
         with pytest.raises(ContractViolationError, match="block defect"):
             build(bad)
-    plain = cn.StructureMatrix(Z, bad.entry, "plain", hermitian=False)
-    op = cn.observable_operator(plain, X, w)
-    assert op.hermitian is False
-    assert _dense_hermitian_defect(op.entries) > 1e-12
 
     original = observables.kernel_by_difference
     monkeypatch.setattr(observables, "kernel_by_difference",

@@ -109,11 +109,19 @@ def test_operator_norm_solves_real_input_in_float64(monkeypatch):
         cn.operator_norm(np.asarray([[1.0, complex(0.0, math.nan)]]))
 
 
+def _half_circle_section(r):
+    """The dense (r+1) x (r+1) section of |i_{[0,pi]}| on indices 0..r,
+    the oracle of the Toeplitz path that never forms it."""
+    half = cn.IntervalSet.from_pairs([(0.0, math.pi)])
+    d = np.abs(np.subtract.outer(np.arange(r + 1), np.arange(r + 1)))
+    return np.abs(cn.kernel_by_difference(half, d))
+
+
 def test_dense_norm_inside_toeplitz_bracket():
     """The dense eigensolve of the r = 55 section, a real symmetric matrix
     solved in float64, lands inside the certified bracket of the
     FFT power-iteration path."""
-    section = cn.half_circle_modulus_section(55)
+    section = _half_circle_section(55)
     assert section.dtype == np.float64
     dense = cn.operator_norm(section)
     certified = cn.modulus_growth_table((55,))[0].estimate
@@ -133,16 +141,14 @@ def test_row_sum_bounds_sandwich_norm():
 
 
 def test_half_circle_section_structure():
-    B = cn.half_circle_modulus_section(7)
+    B = _half_circle_section(7)
     assert B.shape == (8, 8)  # indices 0..r inclusive
     assert np.all(np.diag(B) == 0.5)
     for d in range(1, 8):
         expected = 1.0 / (math.pi * d) if d % 2 else 0.0
         assert B[d, 0] == pytest.approx(expected, abs=1e-15)
         assert B[0, d] == B[d, 0]
-    assert np.array_equal(cn.half_circle_modulus_section(0), [[0.5]])
-    with pytest.raises(UsageError):
-        cn.half_circle_modulus_section(-1)
+    assert np.array_equal(_half_circle_section(0), [[0.5]])
 
 
 def test_growth_table_values_and_chain():
@@ -186,7 +192,7 @@ def test_growth_bracket_contains_mpmath_reference():
     mpmath = pytest.importorskip("mpmath")
     for r in (5, 55):
         est = cn.modulus_growth_table((r,))[0].estimate
-        section = mpmath.matrix(cn.half_circle_modulus_section(r).tolist())
+        section = mpmath.matrix(_half_circle_section(r).tolist())
         with mpmath.workdps(40):
             top = max(mpmath.eigsy(section, eigvals_only=True))
             assert est.lower <= top <= est.upper
@@ -206,7 +212,7 @@ def test_growth_table_at_the_top_of_the_range():
 
 def test_toeplitz_row_sums_match_dense():
     for r in range(1, 602, 2):
-        dense = cn.half_circle_modulus_section(r).sum(axis=1)
+        dense = _half_circle_section(r).sum(axis=1)
         fast = _toeplitz_row_sums(_half_circle_column(r))
         assert np.all(np.abs(fast - dense) <= 4 * np.spacing(dense)), r
 
