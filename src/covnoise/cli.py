@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import os
+import stat
 import sys
+import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (IndexDomain, IndexWindow, StructureMatrix, _default_window, constant_one,
@@ -167,13 +172,63 @@ def _check_out(out: str) -> None:
     raise UsageError(f"cannot write the report to {out!r}: {os.strerror(code)}")
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _replacement(target: str) -> tuple[int, str, int] | None:
+    """A new file in target's folder to be renamed onto target once it is
+    written, as (fd, path, mode), where mode is what open(target, "w")
+    would leave: an existing file's own, 0o666 less the umask for a new one.
+    None where a rename would change more than target's text: target is not
+    a regular file of ours with one link (a device such as /dev/null, a
+    FIFO, a hard-linked or another user's file), or its folder takes no new
+    file."""
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        st = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()):
+            return None
+        mode = st.st_mode & 0o777
+    try:
+        fd, temp = tempfile.mkstemp(prefix=".covnoise-", dir=os.path.dirname(target))
+    except OSError:
+        return None
+    return fd, temp, mode
+
+
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write the report's pieces to stdout or to out.  A regular out, or a
+    new one, is written to a temporary file in its folder that replaces it
+    once every piece is written: on a failure the temporary file is removed
+    and an existing out is left as it was.  Any other out is written in
+    place, as open(out, "w") writes it."""
+    if out is None:
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say: let the interpreter's last flush succeed
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise UsageError(f"cannot write the report to stdout: {exc.strerror or exc}") from exc
+        return
+    target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
+    try:
+        replacement = _replacement(target)
+        if replacement is None:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+            return
+        fd, temp, mode = replacement
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fd, mode)
+                fh.writelines(pieces)
+            os.replace(temp, target)
+        except BaseException:
+            os.remove(temp)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write the report to {out!r}: {exc.strerror or exc}") from exc
 
@@ -246,43 +301,88 @@ def _report_text(header: tuple[str, ...], rows, fmt: str, records=None) -> str:
                         if records is None else records)
 
 
-def _operator_text(window: IndexWindow, entries: np.ndarray, fmt: str) -> str:
+# Entries per tile of an operator dump: a block up to about 360 wide is one
+# tile, so its distinct values are formatted once for the whole block.
+_TILE_ENTRIES = 1 << 17
+
+
+def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iterator[str]:
     """An operator block as JSON ({"window": [lo, hi], "entries": [[re, im],
-    ...]}) or as CSV (n,m,re,im rows): the bytes _render_json and _render_csv
-    give, but each distinct float goes through %.17g once and each document
-    is assembled by one template %.  A covariant block has about 4 N
-    distinct values.  Values are deduplicated by bit pattern, not by value,
-    so -0.0 still prints -0.
+    ...]}) or as CSV (n,m,re,im rows), the bytes _render_json and _render_csv
+    give, in pieces: tiles of about _TILE_ENTRIES entries, each cut into runs
+    of rows.  A row whose bit pattern is the previous row's shifted one
+    column right (every row after the first of a covariant block on constant
+    one or the chessboard) formats only its first entry: a run of such rows
+    is read from a sliding window over the new first pairs and the previous
+    row's pair strings.  The other rows of a tile format each distinct float
+    with %.17g once, and a run of them fills one template.  Rows and values
+    are compared by bit pattern, not by value, so -0.0 still prints -0.
     """
 
     size = window.size
-    parts = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
-    distinct, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
-    text = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    tokens = np.array(text.split("\0")[:-1], dtype=object)[inverse.reshape(size, size, 2)]
-    count = size * size
+    words = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
+    words = words.reshape(size, size, 2)
+    bits = words.view(np.uint64)
+    labels = [str(n) for n in window.indices().tolist()]
     if fmt == "csv":
-        labels = np.array([str(n) for n in window.indices().tolist()], dtype=object)
-        cells = np.empty((size, size, 4), dtype=object)
-        cells[:, :, 0] = labels[:, None]
-        cells[:, :, 1] = labels[None, :]
-        cells[:, :, 2:] = tokens
-        return "n,m,re,im\n" + ("%s,%s,%s,%s\n" * count) % tuple(cells.ravel().tolist())
-    pairs = ", ".join(["[%s, %s]"] * count) % tuple(tokens.ravel().tolist())
-    return '{"window": [%d, %d], "entries": [%s]}\n' % (window.lo, window.hi, pairs)
+        head, tail, pair = "n,m,re,im\n", "", "%s,%s"
+        by_pair = "".join("\0,%s,%%s\n" % m for m in labels)  # the row label goes at \0
+        by_word = "".join("\0,%s,%%s,%%s\n" % m for m in labels)
+        template = lambda run, row: "".join(row.replace("\0", labels[i]) for i in run)
+        fill = lambda lead, run, args: template(run, by_word) % args
+        join = lambda lead, run, pairs: template(run, by_pair) % tuple(pairs)
+    else:
+        head = '{"window": [%d, %d], "entries": [' % (window.lo, window.hi)
+        tail, pair = "]}\n", "[%s, %s]"
+        by_word = ", ".join([pair] * size)
+        fill = lambda lead, run, args: ", ".join(lead + [by_word] * len(run)) % args
+        join = lambda lead, run, pairs: ", ".join(lead + pairs)
+    first = pair % ("%.17g", "%.17g") + "\0"
+    split = (pair + "\0") * size
+    step = max(1, _TILE_ENTRIES // size)
+    shifted = np.zeros(size + 1, dtype=bool)  # no row follows the last
+    for lo in range(1, size, step):
+        hi = min(lo + step, size)
+        shifted[lo:hi] = (bits[lo:hi, 1:] == bits[lo - 1:hi - 1, :-1]).all(axis=(1, 2))
+    shifted = shifted.tolist()
+    yield head
+    for lo in range(0, size, step):
+        rows = range(lo, min(lo + step, size))
+        fresh = [i for i in rows if not shifted[i]]
+        if fresh:
+            distinct, inverse = np.unique(bits[fresh], return_inverse=True)
+            text = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
+            tokens = np.array(text.split("\0")[:-1], dtype=object)
+            tokens = tokens[inverse.reshape(len(fresh), 2 * size)]
+        for reuse, run in itertools.groupby(rows, shifted.__getitem__):
+            run = list(run)
+            lead = [""] if run[0] else []  # a JSON run after the first opens with ", "
+            if reuse:
+                firsts = first * len(run) % tuple(words[run[0]:run[-1] + 1, 0].ravel().tolist())
+                # row run[j] is the window that starts len(run) - 1 - j pairs in
+                diagonal = np.array(firsts.split("\0")[-2::-1] + pairs, dtype=object)
+                grid = sliding_window_view(diagonal, size)[len(run) - 1::-1]
+                yield join(lead, run, grid.ravel().tolist())
+                pairs = grid[-1].tolist()
+            else:
+                cells, tokens = tokens[:len(run)], tokens[len(run):]
+                yield fill(lead, run, tuple(cells.ravel().tolist()))
+                if shifted[run[-1] + 1]:
+                    pairs = (split % tuple(cells[-1].tolist())).split("\0")[:-1]
+    yield tail
 
 
-def cmd_noise_table(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_noise_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
     # every query is checked, in table order, before the first is summed
     queries = [check_query(A, NoiseQuery(n, l, args.tol)) for n in args.n for l in args.l]
     values = [noise_value(A, q) for q in queries]
     rows = [(q.n, q.l, v.value, v.lower, v.upper, v.cutoff) for q, v in zip(queries, values)]
     header = ("n", "l", "value", "lower", "upper", "cutoff")
-    return _report_text(header, rows, args.format), 0
+    return [_report_text(header, rows, args.format)], 0
 
 
-def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_asymptotic(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
     for l in args.l:  # every order is checked before the first sample is summed
         _validate_order(l)
@@ -300,20 +400,20 @@ def cmd_asymptotic(args: argparse.Namespace) -> tuple[str, int]:
         })
         rows.append((l, est.classification.value, est.estimate))
     header = ("l", "classification", "estimate")
-    return _report_text(header, rows, args.format, records), 0
+    return [_report_text(header, rows, args.format, records)], 0
 
 
-def cmd_observable(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_observable(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _matrix(args)
     w = args.window or _default_window(A.domain)
     if args.moment is None:
         op = observable_operator(A, IntervalSet.from_string(args.x), w)
     else:
         op = moment_operator(A, args.moment, w)
-    return _operator_text(op.window, op.entries, args.format), 0
+    return _operator_pieces(op.window, op.entries, args.format), 0
 
 
-def cmd_covariance_check(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_covariance_check(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _matrix(args)
     w = args.window or _default_window(A.domain, 128)
     X = IntervalSet.from_string(args.x)
@@ -322,11 +422,11 @@ def cmd_covariance_check(args: argparse.Namespace) -> tuple[str, int]:
     passed = defect <= 1e-12
     payload = {"window": [w.lo, w.hi], "shift": x, "defect": defect, "pass": passed}
     header = ("window_lo", "window_hi", "shift", "defect", "pass")
-    return (_report_text(header, [(w.lo, w.hi, x, defect, passed)], args.format, payload),
+    return ([_report_text(header, [(w.lo, w.hi, x, defect, passed)], args.format, payload)],
             0 if passed else 1)
 
 
-def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
     w = args.window or _default_window(A.domain, 256)
     # every diagonal, with its window checks, comes before the first bracket
@@ -337,16 +437,16 @@ def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[str, int]:
         ok = (value - tail <= s.upper) and (s.lower <= value + tail)
         rows.append((n, value, tail, s.lower, s.upper, abs(value - s.value), ok))
     header = ("n", "value", "tail_bound", "lower", "upper", "defect", "intersects")
-    return _report_text(header, rows, args.format), 0 if all(row[-1] for row in rows) else 1
+    return [_report_text(header, rows, args.format)], 0 if all(row[-1] for row in rows) else 1
 
 
-def cmd_schur_growth(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_schur_growth(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     rows = [(rec.r, rec.min_row_sum, rec.harmonic_bound, rec.norm)
             for rec in modulus_growth_table(args.r)]
-    return _report_text(("r", "s_r", "u_r", "norm"), rows, args.format), 0
+    return [_report_text(("r", "s_r", "u_r", "norm"), rows, args.format)], 0
 
 
-def cmd_hadamard(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_hadamard(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     if not 1 <= args.p_max <= 12:
         raise UsageError(f"--p-max must be in [1, 12], got {args.p_max}")
     rows = []
@@ -356,14 +456,14 @@ def cmd_hadamard(args: argparse.Namespace) -> tuple[str, int]:
         ok = abs(norm.value - 1.0) <= 1e-9 and abs(mod_norm.value - expected) <= 1e-9
         rows.append((p, norm.value, mod_norm.value, expected, ok))
     header = ("p", "norm", "modulus_norm", "expected_modulus_norm", "pass")
-    return _report_text(header, rows, args.format), 0 if all(row[-1] for row in rows) else 1
+    return [_report_text(header, rows, args.format)], 0 if all(row[-1] for row in rows) else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     from . import verify  # only this subcommand pays for importing the suites
 
     suite = verify.run(args.suite, args.seed)
-    return "\n".join(suite.lines) + "\n", 0 if suite.ok else 1
+    return ["\n".join(suite.lines) + "\n"], 0 if suite.ok else 1
 
 
 # The shared options, in help order.  Every subcommand takes --config and
@@ -451,8 +551,8 @@ def main(argv: list[str] | None = None) -> int:
             commands[args.command].set_defaults(**_config_defaults(args.config))
             args = parser.parse_args(argv)
         _check_inputs(args)
-        text, code = args.func(args)
-        _write(text, args.out)
+        pieces, code = args.func(args)
+        _write(pieces, args.out)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

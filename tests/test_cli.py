@@ -1,11 +1,16 @@
+import errno
+import hashlib
 import json
 import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 
 import covnoise as cn
 from covnoise import cli, verify
-from covnoise.cli import _operator_text, _render_csv, _render_json, _report_text, main
+from covnoise.cli import _operator_pieces, _render_csv, _render_json, _report_text, main
 
 
 def run_cli(capsys, *argv):
@@ -247,16 +252,21 @@ def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write the report to") and "too long" in err
 
 
-def _run_capped(argv, limit):
-    """Run main(argv) in a child pinned to two CPUs whose address space is
-    capped at limit bytes (each thread of the child reserves address space
-    of its own, so the CPU count is fixed along with the cap)."""
+def _capped_child(argv, limit, **env):
+    """The command and environment of a child that runs main(argv) pinned
+    to two CPUs, its address space capped at limit bytes (each thread of
+    the child reserves address space of its own, so the CPU count is fixed
+    along with the cap), with env added to its environment."""
     child = ("import os, resource, sys; "
              "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
              "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
-    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
-                          text=True, timeout=300, env=_child_env())
+    return [sys.executable, "-c", child, *argv], {**_child_env(), **env}
+
+
+def _run_capped(argv, limit, **env):
+    command, environ = _capped_child(argv, limit, **env)
+    return subprocess.run(command, capture_output=True, text=True, timeout=300, env=environ)
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,11 +311,122 @@ def test_covariance_at_the_window_cap_fits_in_1_gib():
 
 def test_out_of_memory_exits_3_without_a_traceback():
     """A report that does not fit in the address space exits 3 with
-    numpy's message, like any other resource limit."""
-    proc = _run_capped(["observable", "--window=0:4095"], 1 << 30)
+    numpy's message, like any other resource limit: under a raised window
+    cap, the 8192-wide block alone is 1 GiB of complex entries."""
+    proc = _run_capped(["observable", "--window=0:8191"], 1 << 30, COVNOISE_MAX_WINDOW="8192")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("resource limit: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_observable_at_the_window_cap_fits_in_1_gib():
+    """The 4096-wide dump of constant one (about 680 MB of JSON) streams
+    tile by tile, so it runs under a 1 GiB address-space cap (its own peak
+    is about 0.55 GB; the whole-document serializer ran out of memory in
+    np.unique there).  Its stdout hashes to the whole-document bytes."""
+    command, environ = _capped_child(["observable", "--window=0:4095"], 1 << 30)
+    digest = hashlib.sha256()
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=environ) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (0, b"")
+    assert digest.hexdigest() == (
+        "2d73e84262f081bb2897812b6a91855aa82720817dd73eada6310528fb4b7203")
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    """A reader that leaves early (`covnoise observable --window=0:511 |
+    head -c 5`) ends the dump with exit 2 and one line on stderr."""
+    with subprocess.Popen([sys.executable, "-m", "covnoise.cli", "observable", "--window=0:511"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env()) as proc:
+        assert proc.stdout.read(5) == b'{"win'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (2, b"error: cannot write the report to stdout: Broken pipe\n")
+
+
+def test_failed_dump_leaves_the_old_out_file(tmp_path, capsys, monkeypatch):
+    """--out is replaced only by a whole report: a dump that fails after its
+    first piece leaves the old file as it was and no temporary file.  Like
+    a plain open, a report goes through a symlink, an existing file keeps
+    its mode and a new one gets 0o666 less the umask."""
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    target.write_text("old report\n")
+    target.chmod(0o600)
+    link.symlink_to(target)
+
+    def failing(window, entries, fmt):
+        yield '{"window": '
+        raise MemoryError("no room for the second piece")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_operator_pieces", failing)
+        code, out, err = run_cli(capsys, "observable", "--window=0:3", "--out", str(link))
+    assert (code, out, err) == (3, "", "resource limit: out of memory: no room for the second "
+                                       "piece\n")
+    assert target.read_text() == "old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+    for name in ("link.json", "new.json"):
+        code, out, err = run_cli(capsys, "observable", "--window=0:3", "--out",
+                                 str(tmp_path / name))
+        assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and json.loads(target.read_text())["window"] == [0, 3]
+    assert (tmp_path / "new.json").read_text() == target.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "new.json", "report.json"]
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_out_that_a_rename_would_change_is_written_in_place(tmp_path, capsys, monkeypatch):
+    """Only a new file or a regular file of ours with one link goes through
+    the temporary file.  Any other --out is written in place: /dev/null
+    stays the device, a FIFO's reader gets the report, a hard-linked file
+    keeps its links, another user's file its inode, and a file in a folder
+    that takes no new file still gets the report."""
+    code, report, err = run_cli(capsys, "observable", "--window=0:3")
+    assert (code, err) == (0, "")
+    argv = ("observable", "--window=0:3", "--out")
+
+    assert run_cli(capsys, *argv, os.devnull) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, str(fifo)) == (0, "", "")
+    reader.join(timeout=60)
+    assert got == [report]
+
+    linked, other = tmp_path / "linked.json", tmp_path / "other.json"
+    linked.write_text("old report\n")
+    os.link(linked, other)
+    theirs, uid = tmp_path / "theirs.json", os.geteuid()
+    theirs.write_text("old report\n")
+    inodes = [linked.stat().st_ino, theirs.stat().st_ino]
+    assert run_cli(capsys, *argv, str(linked)) == (0, "", "")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "geteuid", lambda: uid + 1)
+        assert run_cli(capsys, *argv, str(theirs)) == (0, "", "")
+    assert other.read_text() == theirs.read_text() == report
+    assert [linked.stat().st_ino, theirs.stat().st_ino] == inodes
+
+    def refused(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.tempfile, "mkstemp", refused)
+        assert run_cli(capsys, *argv, str(tmp_path / "new.json")) == (0, "", "")
+    assert (tmp_path / "new.json").read_text() == report
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fifo", "linked.json", "new.json", "other.json", "theirs.json"]
 
 
 def test_list_cap_boundary():
@@ -529,6 +650,31 @@ def test_observable_csv_projection(capsys):
     assert len(lines) == 1 + 9
 
 
+@pytest.mark.parametrize("spec, window, fmt, digest", [
+    ({"kind": "constant_one", "domain": "N"}, "0:299", "json",
+     "22a5210c5cfa71e0ee72b7a71dbb823875339a063924aa8c8f3ca236e5d1190c"),
+    ({"kind": "constant_one", "domain": "N"}, "0:299", "csv",
+     "fe4973ed55750b0db43e8d6c8d7b55954fe3d7f3d7efa35bca39c83baadefd40"),
+    ({"kind": "chessboard", "domain": "Z", "xi": 0.5}, "-150:149", "json",
+     "ce3c7205b6880c7d319d1823062eae715b96126243a67148dcbb049f5b32f04e"),
+    (TORUS_Z, "-150:149", "json",
+     "a380d10469c8a088772cf019159e4a2a680c6430f60da4068a8df76c774d0216"),
+    ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "json",
+     "7902fb182d4b2efb640d3e1332294f9429af7a20151cf601e767b8b01eccc03c"),
+    ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "csv",
+     "526e236d721bb122135ad2c5cc55ca63c0b9e3a6447fc9ae330fbf4746db7494"),
+], ids=["constant-json", "constant-csv", "chessboard-json", "torus-json", "gram-json",
+        "gram-csv"])
+def test_observable_dump_bytes_are_pinned(capsys, spec, window, fmt, digest):
+    """300-wide dumps whose rows all repeat the previous one shifted
+    (constant one, chessboard) or none do (linear torus, gram) hash to the
+    bytes that formatting entry by entry gives."""
+    code, out, err = run_cli(capsys, "observable", "--matrix", json.dumps(spec),
+                             "--window=" + window, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _reference_dumps(window, entries):
     """The operator dump as the per-entry recursive serializer writes it."""
     payload = {"window": [window.lo, window.hi],
@@ -541,8 +687,8 @@ def _reference_dumps(window, entries):
 
 def _assert_dumps_match(window, entries):
     ref_json, ref_csv = _reference_dumps(window, entries)
-    assert _operator_text(window, entries, "json") == ref_json
-    assert _operator_text(window, entries, "csv") == ref_csv
+    assert "".join(_operator_pieces(window, entries, "json")) == ref_json
+    assert "".join(_operator_pieces(window, entries, "csv")) == ref_csv
 
 
 def test_operator_dump_matches_reference_serializer():
@@ -557,7 +703,7 @@ def test_operator_dump_matches_reference_serializer():
     for z in (complex(-0.0, 0.0), complex(tiny, -1e22), 0.5 + 0.5j):
         for window in (cn.IndexWindow(0, 0), cn.IndexWindow(-3, -3)):
             _assert_dumps_match(window, np.full((1, 1), z))
-    json_text = _operator_text(cn.IndexWindow(-2, 1), entries, "json")
+    json_text = "".join(_operator_pieces(cn.IndexWindow(-2, 1), entries, "json"))
     assert json_text.startswith('{"window": [-2, 1], "entries": [[-0, -0], [0, -0], [-0, 0], ')
     # table reports: header rows as CSV, records dict(zip(header, row)) as JSON
     header = ("n", "value", "pass")
@@ -582,13 +728,48 @@ def test_operator_dump_matches_reference_serializer():
                         "csv", single) == "window_lo,window_hi,shift,pass\n-2,1,-2.5,false\n"
 
 
-@given(size=st.integers(1, 6), lo=st.integers(-8, 8), data=st.data())
+def _toeplitz(values, size):
+    """The size x size block whose entry (i, j) is values[i - j + size - 1]."""
+    idx = np.arange(size)
+    return np.asarray(values)[idx[:, None] - idx[None, :] + size - 1]
+
+
+def test_operator_dump_reuses_shifted_rows_across_tiles(monkeypatch):
+    """Rows that repeat the previous one shifted, next to rows that do not,
+    give the reference bytes in three-row tiles: a Toeplitz block over
+    seven tiles (each tile after the first opens on a shifted row),
+    alternating shifted and fresh rows, and a row equal to the previous one
+    shifted by value but not by bits, whose -0 prints as -0."""
+    monkeypatch.setattr(cli, "_TILE_ENTRIES", 3 * 20)
+    rng = np.random.default_rng(7)
+    diagonals = rng.normal(size=39) + 1j * rng.normal(size=39)
+    diagonals[[12, 25, 30]] = [0.0, 1.0 / 3.0, complex(-0.0, -0.0)]
+    toeplitz = _toeplitz(diagonals, 20)
+    alternating = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    alternating[1::2, 1:] = alternating[0::2, :-1]
+    signed = toeplitz.copy()
+    signed[8, 15] = complex(-0.0, 0.0)  # toeplitz[7, 14] is 0.0
+    assert (signed[8, 1:] == signed[7, :-1]).all()
+    for entries in (toeplitz, alternating, signed):
+        for window in (cn.IndexWindow(0, 19), cn.IndexWindow(-7, 12), cn.IndexWindow(-25, -6)):
+            _assert_dumps_match(window, entries)
+    for z in (complex(-0.0, 0.0), 0.5 - 0.5j):
+        for window in (cn.IndexWindow(0, 0), cn.IndexWindow(-3, -3)):
+            _assert_dumps_match(window, np.full((1, 1), z))
+    csv_lines = "".join(_operator_pieces(cn.IndexWindow(0, 19), signed, "csv")).split("\n")
+    assert "7,14,0,0" in csv_lines and "8,15,-0,0" in csv_lines
+
+
+@given(size=st.integers(1, 6), lo=st.integers(-8, 8), tile=st.integers(1, 40), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_operator_dump_matches_reference_serializer_random(size, lo, data):
+def test_operator_dump_matches_reference_serializer_random(size, lo, tile, data):
     floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
     parts = data.draw(st.lists(floats, min_size=2 * size * size, max_size=2 * size * size))
     entries = np.asarray(parts, dtype=float).reshape(size, size, 2).view(np.complex128)
-    _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), entries[..., 0])
+    diagonals = np.asarray(parts[:4 * size - 2], dtype=float).view(np.complex128)
+    with mock.patch.object(cli, "_TILE_ENTRIES", tile):  # tiles of tile // size rows, at least one
+        _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), entries[..., 0])
+        _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), _toeplitz(diagonals, size))
     rows = [(lo + i, re, im) for i, (re, im) in enumerate(np.reshape(parts, (-1, 2)).tolist())]
     assert _report_text(("n", "re", "im"), rows, "csv") == \
         "n,re,im\n" + "".join("%d,%.17g,%.17g\n" % row for row in rows)
