@@ -317,12 +317,12 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
     row's pair strings.  The other rows of a tile format each distinct float
     with %.17g once, and a run of them fills one template.  Rows and values
     are compared by bit pattern, not by value, so -0.0 still prints -0.
+    Each tile, with the row above it, is made contiguous on its own, so
+    entries may be a strided view (a difference view) that is never copied
+    whole.
     """
 
     size = window.size
-    words = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
-    words = words.reshape(size, size, 2)
-    bits = words.view(np.uint64)
     labels = [str(n) for n in window.indices().tolist()]
     if fmt == "csv":
         head, tail, pair = "n,m,re,im\n", "", "%s,%s"
@@ -340,25 +340,30 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
     first = pair % ("%.17g", "%.17g") + "\0"
     split = (pair + "\0") * size
     step = max(1, _TILE_ENTRIES // size)
-    shifted = np.zeros(size + 1, dtype=bool)  # no row follows the last
-    for lo in range(1, size, step):
-        hi = min(lo + step, size)
-        shifted[lo:hi] = (bits[lo:hi, 1:] == bits[lo - 1:hi - 1, :-1]).all(axis=(1, 2))
-    shifted = shifted.tolist()
+    pairs = None  # the previous row's pair strings, once a shifted row needs them
     yield head
     for lo in range(0, size, step):
-        rows = range(lo, min(lo + step, size))
-        fresh = [i for i in rows if not shifted[i]]
+        hi, top = min(lo + step, size), max(lo - 1, 0)
+        words = np.ascontiguousarray(entries[top:hi], dtype=np.complex128).view(np.float64)
+        words = words.reshape(hi - top, size, 2)
+        bits = words.view(np.uint64)
+        # shifted[i - lo] for row i; row 0 has no row above it
+        shifted = [False] * (lo == 0) + (bits[1:, 1:] == bits[:-1, :-1]).all(axis=(1, 2)).tolist()
+        words, bits = words[lo - top:], bits[lo - top:]
+        fresh = [i for i, reuse in enumerate(shifted) if not reuse]
         if fresh:
             distinct, inverse = np.unique(bits[fresh], return_inverse=True)
             text = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
             tokens = np.array(text.split("\0")[:-1], dtype=object)
             tokens = tokens[inverse.reshape(len(fresh), 2 * size)]
-        for reuse, run in itertools.groupby(rows, shifted.__getitem__):
+        for reuse, run in itertools.groupby(range(lo, hi), lambda i: shifted[i - lo]):
             run = list(run)
             lead = [""] if run[0] else []  # a JSON run after the first opens with ", "
             if reuse:
-                firsts = first * len(run) % tuple(words[run[0]:run[-1] + 1, 0].ravel().tolist())
+                if pairs is None:
+                    pairs = (split % tuple(last.tolist())).split("\0")[:-1]
+                column = words[run[0] - lo:run[-1] - lo + 1, 0]
+                firsts = first * len(run) % tuple(column.ravel().tolist())
                 # row run[j] is the window that starts len(run) - 1 - j pairs in
                 diagonal = np.array(firsts.split("\0")[-2::-1] + pairs, dtype=object)
                 grid = sliding_window_view(diagonal, size)[len(run) - 1::-1]
@@ -367,8 +372,7 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
             else:
                 cells, tokens = tokens[:len(run)], tokens[len(run):]
                 yield fill(lead, run, tuple(cells.ravel().tolist()))
-                if shifted[run[-1] + 1]:
-                    pairs = (split % tuple(cells[-1].tolist())).split("\0")[:-1]
+                pairs, last = None, cells[-1]
     yield tail
 
 

@@ -147,19 +147,27 @@ class StructureMatrix:
     builders certify that on each block).  profile, when given, declares
     the off-diagonal moduli by residue class (see RowModulusProfile), a
     structural fact about the builder; None means only |entry| <= 1 is known.
+    difference, when given, declares entry(n, m) == difference(n - m) bit
+    for bit (integer scalar or array argument), another structural fact: the
+    operator builders then read a window through its 2N - 1 differences.
     """
 
     domain: IndexDomain
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
     profile: RowModulusProfile | None = None
+    difference: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def constant_one(domain: IndexDomain) -> StructureMatrix:
     def entry(n, m):
         return np.ones(np.broadcast_shapes(np.shape(n), np.shape(m)), dtype=np.complex128)[()]
 
-    return StructureMatrix(domain, entry, f"constant_one[{domain.value}]", profile=UNIMODULAR)
+    def difference(q):
+        return np.ones(np.shape(q), dtype=np.complex128)[()]
+
+    return StructureMatrix(domain, entry, f"constant_one[{domain.value}]", profile=UNIMODULAR,
+                           difference=difference)
 
 
 def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
@@ -196,13 +204,17 @@ def chessboard(domain: IndexDomain, params: ChessboardParams) -> StructureMatrix
         odd = (np.asarray(n) & 1).astype(np.uint8) ^ (np.asarray(m) & 1).astype(np.uint8)
         return values[odd][()]
 
+    def difference(q):
+        # n - m has the parity of n + m
+        return values[(np.asarray(q) & 1).astype(np.uint8)][()]
+
     # n + (n + j) has the parity of j, so the modulus depends on j mod 2 only
     if params.xi == 1.0:
         profile = UNIMODULAR
     else:
         profile = RowModulusProfile(2, ((even_val, odd_val), (even_val, odd_val)))
     label = f"chessboard(xi={params.xi:g},{params.orientation.value})[{domain.value}]"
-    return StructureMatrix(domain, entry, label, profile=profile)
+    return StructureMatrix(domain, entry, label, profile=profile, difference=difference)
 
 
 def gram_from_vectors(domain: IndexDomain,
@@ -245,19 +257,27 @@ def _check_unit(rows: np.ndarray, index_of: Callable[[int], int]) -> None:
                          f"{norms[bad[0]]!r}, expected 1")
 
 
-def truncate(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
-    """Dense complex block A[w x w].  The window side is capped at
-    window_cap(): 4096 unless COVNOISE_MAX_WINDOW overrides it."""
-
+def _check_truncation(A: StructureMatrix, w: IndexWindow) -> None:
+    """Refuse a window that A's domain does not hold (exit 2) or whose side
+    exceeds window_cap(): 4096 unless COVNOISE_MAX_WINDOW overrides it
+    (exit 3)."""
     w.validate_for(A.domain)
     limit = window_cap()
     if w.size > limit:
         raise ResourceLimitError(
             f"window {w} has side {w.size}, exceeding the cap {limit}; "
             f"raise COVNOISE_MAX_WINDOW to materialize it anyway")
+
+
+def truncate(A: StructureMatrix, w: IndexWindow) -> np.ndarray:
+    """Dense complex block A[w x w] on a window that _check_truncation
+    accepts.  The operator builders multiply their kernel into it in place,
+    so a read-only result of the oracle (a broadcast view, say) is copied."""
+
+    _check_truncation(A, w)
     idx = w.indices()
     block = np.asarray(A.entry(idx[:, None], idx[None, :]), dtype=np.complex128)
-    return block
+    return block if block.flags.writeable else block.copy()
 
 
 def hermitian_defect(M: np.ndarray) -> float:

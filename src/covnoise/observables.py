@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
-from .matrices import (_TILE, IndexDomain, IndexWindow, StructureMatrix, hermitian_defect,
-                       truncate, window_cap)
+from .matrices import (_TILE, IndexDomain, IndexWindow, StructureMatrix, _check_truncation,
+                       hermitian_defect, truncate, window_cap)
 from .noise import _head_sum, _row_plan, reference_moment
 
 TWO_PI = 2.0 * math.pi
@@ -155,8 +155,10 @@ def kernel_by_difference(X: IntervalSet, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense operator block on a window.  Every builder below certifies it
-    Hermitian in O(N) (see _certify_hermitian) before it is made."""
+    """Operator block on a window.  Every builder below certifies it
+    Hermitian in O(N) (see _certify_hermitian) before it is made.  For a
+    matrix that declares difference, entries is a read-only N x N view of
+    the 2N - 1 values by difference (O(N) memory); otherwise it is dense."""
 
     window: IndexWindow
     entries: np.ndarray
@@ -170,30 +172,48 @@ class TruncatedOperator:
 def _normalized_block(A: StructureMatrix,
                       w: IndexWindow) -> tuple[np.ndarray, tuple[float, float]]:
     """The w-truncation of A, checked for a unit diagonal, with its
-    Hermitian defect and largest modulus (see _certify_hermitian), both
-    read in row tiles."""
-    block = truncate(A, w)
-    diag_defect = float(np.max(np.abs(np.diagonal(block) - 1.0)))
+    Hermitian defect and largest modulus (see _certify_hermitian).  A
+    matrix that declares difference gives its 2N - 1 values d(1 - N) ..
+    d(N - 1) instead, a 1-d array whose checks read each value once, the
+    Hermitian defect as max |d(q) - conj(d(-q))|; a dense block is read in
+    row tiles.  The checks give the same floats either way."""
+    if A.difference is None:
+        block = truncate(A, w)
+        diagonal = np.diagonal(block)
+    else:
+        _check_truncation(A, w)
+        block = np.asarray(A.difference(np.arange(1 - w.size, w.size)), dtype=np.complex128)
+        diagonal = block[w.size - 1]
+    diag_defect = float(np.max(np.abs(diagonal - 1.0)))
     if diag_defect > 1e-12:
         raise UsageError(f"{A.label} is not normalized on {w}: diagonal deviates "
                          f"from 1 by {diag_defect:.3e}")
+    if block.ndim == 1:
+        return block, (float(np.max(np.abs(block - block[::-1].conj()))),
+                       float(np.max(np.abs(block))))
     block_max = max(float(np.max(np.abs(block[i:i + _TILE]))) for i in range(0, w.size, _TILE))
     return block, (hermitian_defect(block), block_max)
 
 
+def _grid(values: np.ndarray) -> np.ndarray:
+    """The size x size grid G[i, j] = values[i - j + size - 1] of the 2 size
+    - 1 values of a function of the difference i - j, from 1 - size up, as a
+    read-only view: O(size) memory instead of O(size^2)."""
+    size = (len(values) + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(values, size)[::-1].T
+
+
 def _by_difference(f, size: int) -> np.ndarray:
-    """The size x size grid G[i, j] = f(i - j), a read-only view of one
-    call of f on the 2 size - 1 differences 1 - size .. size - 1 (integer
-    array argument).
+    """The size x size grid G[i, j] = f(i - j), the _grid of one call of f
+    on the 2 size - 1 differences 1 - size .. size - 1 (integer array
+    argument).
 
     Every covariant kernel depends on n - m only, so this costs O(size)
-    evaluations of f and O(size) memory instead of O(size^2); the entries
-    are the same bits as f applied to the dense difference grid, since f
-    acts elementwise.
+    evaluations of f; the entries are the same bits as f applied to the
+    dense difference grid, since f acts elementwise.
     """
 
-    values = f(np.arange(1 - size, size))
-    return np.lib.stride_tricks.sliding_window_view(values, size)[::-1].T
+    return _grid(f(np.arange(1 - size, size)))
 
 
 def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> None:
@@ -227,11 +247,16 @@ def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> 
 def _covariant(block: np.ndarray, certificate: tuple[float, float], f,
                w: IndexWindow) -> TruncatedOperator:
     """P = block * k(n - m) for k = f, certified Hermitian in O(N) by
-    _certify_hermitian, not by a dense pass over P."""
+    _certify_hermitian, not by a dense pass over P.  A dense block is
+    overwritten by P; a block of values by difference gives P as the
+    read-only _grid of its 2N - 1 products, the same bits."""
 
-    kernel = _by_difference(f, w.size)
+    values = f(np.arange(1 - w.size, w.size))
+    kernel = _grid(values)
     _certify_hermitian(certificate, kernel)
-    return TruncatedOperator(w, block * kernel)
+    if block.ndim == 1:
+        return TruncatedOperator(w, _grid(block * values))
+    return TruncatedOperator(w, np.multiply(block, kernel, out=block))
 
 
 def observable_operator(A: StructureMatrix, X: IntervalSet,
@@ -250,17 +275,24 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
     enters) plus the complex exponentials.  A is truncated and checked
     once; both kernels are certified as the operators' would be, and the
     entries of E(X) and E(X+x) are formed and compared _TILE rows at a
-    time, so neither operator is held whole.
+    time, so neither operator is held whole.  When A declares difference,
+    every factor depends on n - m only, so the same tile body runs once,
+    over one row of the 2N - 1 differences, which holds every entry's
+    value.
     """
 
     block, certificate = _normalized_block(A, w)
-    base = _by_difference(lambda q: kernel_by_difference(X, q), w.size)
-    shifted = _by_difference(lambda q: kernel_by_difference(shift_interval(X, x), q), w.size)
-    for kernel in (base, shifted):
-        _certify_hermitian(certificate, kernel)
-    phase = _by_difference(lambda q: np.exp(1j * q * x), w.size)
+    q = np.arange(1 - w.size, w.size)
+    values = [kernel_by_difference(X, q), kernel_by_difference(shift_interval(X, x), q),
+              np.exp(1j * q * x)]
+    for kernel in values[:2]:
+        _certify_hermitian(certificate, _grid(kernel))
+    if block.ndim == 1:
+        block, (base, shifted, phase) = block[None], [v[None] for v in values]
+    else:
+        base, shifted, phase = map(_grid, values)
     defect = 0.0
-    for i in range(0, w.size, _TILE):
+    for i in range(0, len(block), _TILE):
         # Every product is bound to a name: numpy may compute an expression
         # such as phase * (rows * base) in place in its temporary, which
         # moves the last bits of the defect.

@@ -309,11 +309,26 @@ def test_covariance_at_the_window_cap_fits_in_1_gib():
                            '"defect": 1.2428498354583635e-16, "pass": true}\n')
 
 
+def test_chessboard_covariance_past_the_default_cap_fits_in_1_gib():
+    """The chessboard is read by difference, so a 65536-wide covariance
+    check (a 64 GiB block if truncated) holds O(N) memory: it exits 0 under
+    a 1 GiB address-space cap."""
+    argv = ["covariance-check", "--matrix", '{"kind": "chessboard", "domain": "N", "xi": 0.5}',
+            "--window=0:65535"]
+    proc = _run_capped(argv, 1 << 30, COVNOISE_MAX_WINDOW="65536")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ('{"window": [0, 65535], "shift": 1.5707963267948966, '
+                           '"defect": 1.2489264668080304e-16, "pass": true}\n')
+
+
 def test_out_of_memory_exits_3_without_a_traceback():
     """A report that does not fit in the address space exits 3 with
     numpy's message, like any other resource limit: under a raised window
-    cap, the 8192-wide block alone is 1 GiB of complex entries."""
-    proc = _run_capped(["observable", "--window=0:8191"], 1 << 30, COVNOISE_MAX_WINDOW="8192")
+    cap, the 8192-wide block of a torus matrix alone is 1 GiB of complex
+    entries.  (Constant one and the chessboard are read by difference, so
+    their 8192-wide dumps stream in O(N) memory.)"""
+    proc = _run_capped(["observable", "--matrix", json.dumps(TORUS_Z), "--window=0:8191"],
+                       1 << 30, COVNOISE_MAX_WINDOW="8192")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("resource limit: out of memory: ")
     assert "Traceback" not in proc.stderr
@@ -446,6 +461,30 @@ def test_non_object_config_matrix_is_refused_by_every_subcommand(tmp_path, capsy
     code, out, err = run_cli(capsys, *command, "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "error: matrix spec must be an object, got list\n"
+
+
+@pytest.mark.parametrize("spec", [{"kind": "constant_one", "domain": "N"},
+                                  {"kind": "chessboard", "domain": "N", "xi": 0.5},
+                                  {"kind": "chessboard", "domain": "Z", "xi": 0.5}],
+                         ids=lambda spec: f"{spec['kind']}-{spec['domain']}")
+@pytest.mark.parametrize("command", [["observable"], ["observable", "--moment", "2"],
+                                     ["covariance-check"]], ids=" ".join)
+def test_matrices_read_by_difference_keep_the_window_checks(capsys, monkeypatch, spec, command):
+    """A matrix read by difference is never truncated, yet a negative
+    window on N and one past the addressable bound exit 2, and one past
+    window_cap() exits 3, each with nothing on stdout; the cap itself is
+    accepted."""
+    monkeypatch.setenv("COVNOISE_MAX_WINDOW", "16")
+    argv = [*command, "--matrix", json.dumps(spec)]
+    bound = "2305843009213693952"  # 2^61, the first index past the addressable bound
+    outside = ["-1:5"] if spec["domain"] == "N" else [f"-{bound}:-2305843009213693950"]
+    for window in outside + [f"2305843009213693951:{bound}"]:
+        code, out, err = run_cli(capsys, *argv, "--window=" + window)
+        assert (code, out) == (2, "") and err.startswith("error: window ")
+    code, out, err = run_cli(capsys, *argv, "--window=0:16")
+    assert (code, out) == (3, "") and "exceeding the cap 16" in err
+    code, out, err = run_cli(capsys, *argv, "--window=0:15")
+    assert (code, err) == (0, "") and out
 
 
 def test_exit_codes(capsys, tmp_path):

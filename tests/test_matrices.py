@@ -111,6 +111,39 @@ def test_chessboard_block_holds_one_byte_per_entry_beyond_itself():
     assert np.array_equal(block, np.where((n + m) % 2 == 0, 1.0, 0.5))
 
 
+_DIFFERENCE_MATRICES = [
+    cn.constant_one(N), cn.constant_one(Z),
+    cn.chessboard(N, cn.ChessboardParams(0.3)), cn.chessboard(Z, cn.ChessboardParams(0.3)),
+    cn.chessboard(N, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
+    cn.chessboard(Z, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
+    cn.chessboard(Z, cn.ChessboardParams(1.0))]
+
+
+@pytest.mark.parametrize("A", _DIFFERENCE_MATRICES, ids=lambda A: A.label)
+def test_declared_difference_is_the_entry_bit_for_bit(A):
+    """entry(n, m) and difference(n - m) have the same bit pattern on
+    blocks, rows and scalars, for negative differences and for indices at
+    the addressable bound on either side, where |n - m| nears 2^62."""
+    top = matrices.INDEX_BOUND - 1
+    sides = [np.arange(0, 41), np.arange(top - 40, top + 1)]
+    if A.domain is Z:
+        sides += [np.arange(-20, 21), np.arange(-top, -top + 41)]
+    pairs = [(n[:, None], m[None, :]) for n in sides for m in sides]
+    pairs += [(0, top), (top, 0), (3, 3), (-2, 5) if A.domain is Z else (2, 5),
+              (top, np.arange(top - 7, top + 1)), (np.arange(5), 4)]
+    if A.domain is Z:
+        pairs += [(top, -top), (-top, top),
+                  (np.arange(-top, -top + 9), np.arange(top - 8, top + 1))]
+    for n, m in pairs:
+        q = np.subtract(n, m)
+        assert np.array_equal(_bits(A.entry(n, m)), _bits(A.difference(q)))
+        assert np.shape(A.difference(q)) == np.shape(q)
+    for B in (cn.seeded_torus(A.domain, seed=1), cn.seeded_gram(A.domain, 4, seed=1),
+              cn.matrix_from_spec({"kind": "torus", "domain": A.domain.value,
+                                   "phases": {"formula": "linear", "slope": 0.4}})):
+        assert B.difference is None
+
+
 def test_torus_from_phases_is_rank_one_phase_form():
     nu = cn.PhaseSequence(lambda n: 0.3 * np.asarray(n, dtype=float) ** 2)
     A = cn.torus_from_phases(Z, nu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -211,10 +212,11 @@ def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
     (cn.chessboard(Z, cn.ChessboardParams(0.6)), cn.IndexWindow(-100, 99)),
 ])
 def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
-    """One truncation serves both observables, both kernels are certified
-    with the block's certificate, and the defect, reduced row tile by row
-    tile, is the same float as from two separate dense truncations and
-    kernels (inline products of fresh temporaries would move its last
+    """One truncation serves both observables (none for a matrix that
+    declares difference, which is read by difference), both kernels are
+    certified with the block's certificate, and the defect, reduced row tile
+    by row tile, is the same float as from two separate dense truncations
+    and kernels (inline products of fresh temporaries would move its last
     bits)."""
     truncations, certified = [], []
     certify = observables._certify_hermitian
@@ -239,8 +241,39 @@ def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
         expected = float(np.max(np.abs(phase * base - shifted)))
         before = len(truncations), len(certified)
         assert cn.covariance_defect(A, X, x, w).hex() == expected.hex()
-        assert (len(truncations), len(certified)) == (before[0] + 1, before[1] + 2)
+        truncated = 0 if A.difference else 1
+        assert (len(truncations), len(certified)) == (before[0] + truncated, before[1] + 2)
         assert certified[-2:] == [certificate] * 2
+
+
+@pytest.mark.parametrize("A", [
+    cn.constant_one(N), cn.constant_one(Z), cn.chessboard(N, cn.ChessboardParams(0.4)),
+    cn.chessboard(Z, cn.ChessboardParams(0.8)), cn.chessboard(Z, cn.ChessboardParams(1.0)),
+], ids=lambda A: A.label)
+def test_difference_path_matches_the_dense_path_bit_for_bit(A):
+    """On random interval sets, shifts and windows (odd, even and of size
+    1, near 0 and at the addressable bound), a matrix read by difference
+    and the same matrix truncated densely give the same observable and
+    moment entries and the same covariance defect, bit for bit; the
+    entries read by difference are a read-only view."""
+    dense = dataclasses.replace(A, difference=None)
+    rng = np.random.default_rng(17)
+    top = cn.matrices.INDEX_BOUND - 1
+    for size in (1, 2, 7, 64, 65, 200, 301):
+        for lo in (int(rng.integers(0 if A.domain is N else -300, 40)), top - size + 1):
+            w = cn.IndexWindow(lo, lo + size - 1)
+            ends = np.sort(rng.uniform(0.0, TWO_PI, size=2 * int(rng.integers(1, 4))))
+            X = cn.IntervalSet.from_pairs(ends.reshape(-1, 2))
+            x = float(rng.uniform(-TWO_PI, TWO_PI))
+            for build in (lambda M: cn.observable_operator(M, X, w),
+                          lambda M: cn.moment_operator(M, 1, w),
+                          lambda M: cn.moment_operator(M, 2, w)):
+                op, reference = build(A), build(dense)
+                assert op.entries.tobytes() == reference.entries.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    op.entries[0, 0] = 0.0
+            assert cn.covariance_defect(A, X, x, w).hex() == \
+                cn.covariance_defect(dense, X, x, w).hex()
 
 
 def test_truncated_operator_checks_hermiticity():
@@ -263,20 +296,22 @@ def _dense_hermitian_defect(M):
 ])
 def test_covariant_operators_hermitian_against_dense_oracle(A, w, monkeypatch):
     """Operators certified Hermitian in O(N) pass the dense check, and a
-    covariance call measures the block's defect once: no dense pass runs
-    over any product."""
+    covariance call measures the block's defect once (a matrix that
+    declares difference measures it on its differences, with no dense
+    pass): no dense pass runs over any product."""
     calls = []
     monkeypatch.setattr(observables, "hermitian_defect",
                         lambda M: calls.append(M.shape) or hermitian_defect(M))
     X = cn.IntervalSet.from_pairs([(0.3, 1.9), (2.5, 5.0)])
     ops = [cn.observable_operator(A, X, w), cn.moment_operator(A, 1, w),
            cn.moment_operator(A, 2, w)]
-    assert calls == [(w.size, w.size)] * 3
+    dense = [] if A.difference else [(w.size, w.size)]
+    assert calls == dense * 3
     for op in ops:
         assert _dense_hermitian_defect(op.entries) <= 1e-12
     calls.clear()
     cn.covariance_defect(A, X, 0.7, w)
-    assert calls == [(w.size, w.size)]
+    assert calls == dense
 
 
 def _broken_hermitian(A):
