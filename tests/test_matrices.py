@@ -111,15 +111,13 @@ def test_chessboard_block_holds_one_byte_per_entry_beyond_itself():
     assert np.array_equal(block, np.where((n + m) % 2 == 0, 1.0, 0.5))
 
 
-_DIFFERENCE_MATRICES = [
+@pytest.mark.parametrize("A", [
     cn.constant_one(N), cn.constant_one(Z),
     cn.chessboard(N, cn.ChessboardParams(0.3)), cn.chessboard(Z, cn.ChessboardParams(0.3)),
     cn.chessboard(N, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
     cn.chessboard(Z, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
-    cn.chessboard(Z, cn.ChessboardParams(1.0))]
-
-
-@pytest.mark.parametrize("A", _DIFFERENCE_MATRICES, ids=lambda A: A.label)
+    cn.chessboard(Z, cn.ChessboardParams(1.0)),
+], ids=lambda A: A.label)
 def test_declared_difference_is_the_entry_bit_for_bit(A):
     """entry(n, m) and difference(n - m) have the same bit pattern on
     blocks, rows and scalars, for negative differences and for indices at
