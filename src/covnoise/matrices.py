@@ -177,8 +177,10 @@ def torus_from_phases(domain: IndexDomain, phases: PhaseSequence,
     nu = phases.nu
 
     def entry(n, m):
-        return np.exp(1j * (np.asarray(nu(n), dtype=float)
-                            - np.asarray(nu(m), dtype=float)))[()]
+        a, b = np.asarray(nu(n), dtype=float), np.asarray(nu(m), dtype=float)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+        np.subtract(a, b, out=out.imag)
+        return np.exp(out, out=out)[()]
 
     return StructureMatrix(domain, entry, label or f"torus[{domain.value}]", profile=UNIMODULAR)
 

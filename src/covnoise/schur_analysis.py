@@ -49,16 +49,41 @@ class NormEstimate:
     upper: float | None = None
 
 
+def _real_form_eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian H with J H J = conj(H) (J the flip) from
+    its real form Q^H H Q, Q unitary (A. Lee, Linear Algebra Appl. 29, 1980):
+    R = [[Re A + Re C, Im C - Im A], [Im A + Im C, Re A - Re C]] for k = n//2,
+    A = H[:k, :k], C[i, j] = H[i, n-1-j]; an odd middle index joins the first
+    block by the column sqrt(2) H[:k, k], real part up, imaginary part down.
+    R is written in place, and a real H gives two diagonal blocks."""
+
+    k, m = H.shape[0] // 2, (H.shape[0] + 1) // 2
+    A, C, x = H[:k, :k], H[:k, ::-1][:, :k], math.sqrt(2.0) * H[:k, k:m]
+    R = np.empty(H.shape)
+    R[k:m, k:m] = H[k:m, k:m].real
+    R[:k, k:m], R[k:m, :k] = x.real, x.real.T
+    np.add(A.real, C.real, out=R[:k, :k])
+    np.subtract(A.real, C.real, out=R[m:, m:])
+    if not np.iscomplexobj(H):
+        return np.concatenate([np.linalg.eigvalsh(R[:m, :m]), np.linalg.eigvalsh(R[m:, m:])])
+    R[m:, k:m], R[k:m, m:] = x.imag, x.imag.T
+    np.subtract(C.imag, A.imag, out=R[:k, m:])
+    np.add(A.imag, C.imag, out=R[m:, :k])
+    return np.linalg.eigvalsh(R)
+
+
 def operator_norm(M: np.ndarray) -> NormEstimate:
     """Spectral norm of a dense matrix from one Hermitian eigensolve.
 
     A Hermitian input (to 1e-12) gives the largest absolute eigenvalue of
-    (M + M^H)/2; any other input, rectangular included, gives the square
-    root of the largest eigenvalue of M^H M.  The dtype picks the
+    H = (M + M^H)/2; any other input, rectangular included, gives the
+    square root of the largest eigenvalue of M^H M.  The dtype picks the
     arithmetic: a complex array is solved in complex128, any other (float,
     integer, bool) in float64, where M^H is a view and the symmetric solve
-    is about 4x cheaper.  Deterministic, O(n^3) time and O(n^2) memory,
-    and not certified.
+    is about 4x cheaper.  A centrohermitian H (H[::-1, ::-1] == conj(H)
+    exactly, as for every Hermitian Toeplitz H) is solved in float64 through
+    its real form (_real_form_eigenvalues), a unitary similarity.
+    Deterministic, O(n^3) time and O(n^2) memory, and not certified.
     """
 
     M = np.asarray(M)
@@ -69,7 +94,10 @@ def operator_norm(M: np.ndarray) -> NormEstimate:
         raise UsageError("operator norm needs finite entries")
     MH = M.conj().T
     if M.shape[0] == M.shape[1] and hermitian_defect(M) <= 1e-12:
-        value = float(np.max(np.abs(np.linalg.eigvalsh((M + MH) / 2.0))))
+        H = M + MH
+        H /= 2.0  # exactly Hermitian: the centrohermitian test reads conj(H) as H.T
+        solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.T) else np.linalg.eigvalsh
+        value = float(np.max(np.abs(solve(H))))
     else:
         value = math.sqrt(max(float(np.linalg.eigvalsh(MH @ M)[-1]), 0.0))
     return NormEstimate(value, NormMethod.HERMITIAN_EIGEN, 0, 0.0)

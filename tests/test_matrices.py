@@ -293,6 +293,29 @@ def test_broadcast_oracles_match_full_grid_evaluation_bit_for_bit(monkeypatch, k
     assert np.array_equal(_bits(A.entry(2, 5)), _bits(reference(2, 5)))
 
 
+@pytest.mark.parametrize("kind", ["seeded", "linear"])
+def test_torus_oracle_is_the_exp_of_the_phase_difference_bit_for_bit(monkeypatch, kind):
+    """The oracle writes nu(n) - nu(m) into the imaginary part of its one
+    output and exponentiates in place; that is np.exp(1j * (nu(n) - nu(m)))
+    to the bit on blocks, rows and scalars, with phases of both signs."""
+    if kind == "seeded":
+        A, phases = _captured(monkeypatch, "torus_from_phases", lambda: cn.seeded_torus(Z, seed=2))
+    else:
+        spec = {"kind": "torus", "domain": "Z", "phases": {"formula": "linear", "slope": -0.7}}
+        A, phases = _captured(monkeypatch, "torus_from_phases", lambda: cn.matrix_from_spec(spec))
+    nu = phases.nu
+
+    def old(n, m):
+        return np.exp(1j * (np.asarray(nu(n), dtype=float) - np.asarray(nu(m), dtype=float)))[()]
+
+    idx = np.arange(-700, 700)  # a negative slope on Z: phases of both signs
+    for n, m in [(idx[:, None], idx[None, :]), (-9, idx), (idx, 11), (idx, idx[::-1]),
+                 (-3, 5), (4, -4), (0, 0)]:
+        new = A.entry(n, m)
+        assert type(new) is type(old(n, m)) and np.shape(new) == np.shape(old(n, m))
+        assert np.array_equal(_bits(new), _bits(old(n, m)))
+
+
 def test_gram_oracle_fetches_each_side_once(monkeypatch):
     """A side-N truncation hands 2N indices to vectors and a row of k
     offsets hands k + 1, each call with a flat index array."""

@@ -52,7 +52,17 @@ def test_operator_norm_deterministic():
 
 
 _SHAPES = ["hermitian", "square", "wide", "tall", "real-symmetric", "real-square",
-           "real-wide", "real-tall", "integer", "bool"]
+           "real-wide", "real-tall", "integer", "bool", "hermitian-toeplitz",
+           "real-toeplitz", "centrohermitian"]
+
+
+def _hermitian_toeplitz(rng, size, real=False):
+    """A Hermitian Toeplitz matrix of this side, t(i - j) with t(-q) = conj(t(q))."""
+    t = rng.standard_normal(2 * size - 1)
+    if not real:
+        t = t + 1j * rng.standard_normal(2 * size - 1)
+    t = (t + t[::-1].conj()) / 2.0
+    return t[np.subtract.outer(np.arange(size), np.arange(size)) + size - 1]
 
 
 @given(seed=st.integers(0, 10_000), shape=st.sampled_from(_SHAPES))
@@ -60,14 +70,19 @@ _SHAPES = ["hermitian", "square", "wide", "tall", "real-symmetric", "real-square
 def test_operator_norm_matches_svd(seed, shape):
     """The one eigensolve agrees with the top singular value on Hermitian,
     non-Hermitian and rectangular complex matrices, on their real float64
-    counterparts and on integer and bool arrays, of sides 1 to 256."""
+    counterparts, on integer and bool arrays, and on the centrohermitian
+    inputs solved through their real form (Hermitian Toeplitz, real
+    symmetric Toeplitz, and centrohermitian but not Toeplitz), of sides 1
+    to 256."""
     rng = np.random.default_rng(seed)
     rows, cols = (int(k) for k in rng.integers(1, 257, size=2))
-    if shape in ("hermitian", "square", "real-symmetric", "real-square"):
+    if shape in ("hermitian", "square", "real-symmetric", "real-square", "centrohermitian"):
         cols = rows
     elif shape.endswith(("wide", "tall")) and (rows < cols) != shape.endswith("wide"):
         rows, cols = cols, rows
-    if shape == "integer":
+    if shape.endswith("toeplitz"):
+        M = _hermitian_toeplitz(rng, rows, real=shape.startswith("real"))
+    elif shape == "integer":
         M = rng.integers(-9, 10, size=(rows, cols))
     elif shape == "bool":
         M = rng.random((rows, cols)) < 0.5
@@ -75,38 +90,89 @@ def test_operator_norm_matches_svd(seed, shape):
         M = rng.standard_normal((rows, cols))
     else:
         M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    if shape in ("hermitian", "real-symmetric"):
+    if shape == "centrohermitian":
+        M = (M + M[::-1, ::-1].conj()) / 2.0
+    if shape in ("hermitian", "real-symmetric", "centrohermitian"):
         M = (M + M.conj().T) / 2.0
+    if shape.endswith(("toeplitz", "centrohermitian")):
+        assert np.array_equal(M[::-1, ::-1], M.conj())
     est = cn.operator_norm(M)
     top = np.linalg.svd(M.astype(np.result_type(M, np.float64)), compute_uv=False)[0]
     assert est.method is cn.NormMethod.HERMITIAN_EIGEN
     assert abs(est.value - top) <= 1e-12 * top
 
 
-def test_operator_norm_solves_real_input_in_float64(monkeypatch):
-    """The dtype alone picks the arithmetic: real, integer and bool arrays
-    reach eigvalsh as float64, complex ones as complex128 even when every
-    imaginary part is zero."""
+def _spy_eigvalsh(monkeypatch):
     seen = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append((a.dtype, a.shape)) or eigvalsh(a))
+    return seen
+
+
+def test_operator_norm_solves_real_input_in_float64(monkeypatch):
+    """The dtype picks the arithmetic of a general solve: real, integer and
+    bool arrays reach eigvalsh as float64.  A centrohermitian Hermitian
+    part reaches it through its real form: one float64 solve at full order
+    for a complex array (even when every imaginary part is zero), two at
+    half order for a real one, whose real form is block-diagonal."""
+    seen = _spy_eigvalsh(monkeypatch)
     sym = np.asarray([[2.0, 1.0], [1.0, 2.0]])
-    cases = [(sym, np.float64), (np.asarray([[0.0, 1.0], [0.0, 0.0]]), np.float64),
-             (sym.astype(np.float32), np.float64), (np.asarray([[1, 2], [3, 4]]), np.float64),
-             (np.eye(3, dtype=bool), np.float64), (np.ones((2, 3)), np.float64),
-             (sym.astype(np.complex128), np.complex128),
-             (sym.astype(np.complex64), np.complex128),
-             (np.asarray([[0.0, 1.0j], [-1.0j, 0.0]]), np.complex128)]
-    for M, dtype in cases:
+    f64 = np.dtype(np.float64)
+    halves, full = [(f64, (1, 1)), (f64, (1, 1))], [(f64, (2, 2))]
+    cases = [(sym, halves), (np.asarray([[0.0, 1.0], [0.0, 0.0]]), full),
+             (sym.astype(np.float32), halves), (np.asarray([[1, 2], [3, 4]]), full),
+             (np.eye(3, dtype=bool), [(f64, (2, 2)), (f64, (1, 1))]),
+             (np.ones((2, 3)), [(f64, (3, 3))]),
+             (sym.astype(np.complex128), full),
+             (sym.astype(np.complex64), full),
+             (np.asarray([[0.0, 1.0j], [-1.0j, 0.0]]), full)]
+    for M, calls in cases:
         seen.clear()
         cn.operator_norm(M)
-        assert seen == [np.dtype(dtype)], (M.dtype, seen)
+        assert seen == calls, (M.dtype, seen)
     assert cn.operator_norm(sym).value == pytest.approx(3.0, rel=1e-15)
     assert cn.operator_norm(sym.astype(np.complex128)).value == pytest.approx(3.0, rel=1e-15)
     with pytest.raises(UsageError):
         cn.operator_norm(np.asarray([[1.0, math.inf]]))
     with pytest.raises(UsageError):
         cn.operator_norm(np.asarray([[1.0, complex(0.0, math.nan)]]))
+
+
+@pytest.mark.parametrize("side", [2, 5, 64, 65])
+def test_operator_norm_near_miss_keeps_the_complex_solve(monkeypatch, side):
+    """One ulp off centrohermitian takes the general complex128 solve: the
+    test is exact.  The changed pair (i, j), (j, i) sits off the
+    anti-diagonal i + j = n - 1, whose entries are their own mirrors."""
+    seen = _spy_eigvalsh(monkeypatch)
+    M = _hermitian_toeplitz(np.random.default_rng(side), side)
+    i, j = 0, (side - 1) // 2
+    M[i, j] = complex(math.nextafter(M[i, j].real, math.inf), M[i, j].imag)
+    M[j, i] = M[i, j].conjugate()
+    assert i + j != side - 1 and not np.array_equal(M[::-1, ::-1], M.conj())
+    assert schur_analysis.hermitian_defect(M) <= 1e-12
+    value = cn.operator_norm(M).value
+    assert seen == [(np.dtype(np.complex128), (side, side))]
+    top = np.linalg.svd(M, compute_uv=False)[0]
+    assert abs(value - top) <= 1e-12 * top
+
+
+def test_covariant_operators_reach_eigvalsh_only_in_float64(monkeypatch):
+    """Truncated observables and moments of matrices that declare difference
+    are Hermitian Toeplitz, so their norms take the real form: the
+    observable-contraction check of verify and a chessboard moment."""
+    from covnoise import verify
+
+    seen = _spy_eigvalsh(monkeypatch)
+    assert verify.run("schur", 0).ok
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.float64)}
+    seen.clear()
+    chess = cn.chessboard(cn.IndexDomain.NATURALS, cn.ChessboardParams(0.5))
+    M = cn.moment_operator(chess, 1, cn.IndexWindow(0, 40)).entries
+    value = cn.operator_norm(M).value
+    assert seen == [(np.dtype(np.float64), (41, 41))]
+    top = np.linalg.svd(M, compute_uv=False)[0]
+    assert abs(value - top) <= 1e-12 * top
 
 
 def _half_circle_section(r):
