@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import json
 import os
 import stat
@@ -20,7 +19,6 @@ import tempfile
 from collections.abc import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (IndexDomain, IndexWindow, StructureMatrix, _default_window, constant_one,
@@ -309,70 +307,48 @@ _TILE_ENTRIES = 1 << 17
 def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iterator[str]:
     """An operator block as JSON ({"window": [lo, hi], "entries": [[re, im],
     ...]}) or as CSV (n,m,re,im rows), the bytes _render_json and _render_csv
-    give, in pieces: tiles of about _TILE_ENTRIES entries, each cut into runs
-    of rows.  A row whose bit pattern is the previous row's shifted one
-    column right (every row after the first of a covariant block on constant
-    one or the chessboard) formats only its first entry: a run of such rows
-    is read from a sliding window over the new first pairs and the previous
-    row's pair strings.  The other rows of a tile format each distinct float
-    with %.17g once, and a run of them fills one template.  Rows and values
-    are compared by bit pattern, not by value, so -0.0 still prints -0.
-    Each tile, with the row above it, is made contiguous on its own, so
-    entries may be a strided view (a difference view) that is never copied
-    whole.
+    give, in pieces.  entries is the N x N block, or (1-d) a difference
+    operator's 2N - 1 values d(1 - N) .. d(N - 1), whose row i is d(i) down
+    to d(i + 1 - N): those values are formatted once for the whole dump,
+    and each row, one piece, joins a slice of their pair strings.  A block
+    comes in tiles of about _TILE_ENTRIES entries; each tile formats each
+    distinct float with %.17g once, telling floats apart by bit pattern so
+    that -0.0 still prints -0, and fills one template.  Each tile is made
+    contiguous on its own, so a block may be a strided view that is never
+    copied whole.
     """
 
     size = window.size
     labels = [str(n) for n in window.indices().tolist()]
     if fmt == "csv":
-        head, tail, pair = "n,m,re,im\n", "", "%s,%s"
+        head, tail, sep, pair = "n,m,re,im\n", "", "", "%s,%s"
         by_pair = "".join("\0,%s,%%s\n" % m for m in labels)  # the row label goes at \0
-        by_word = "".join("\0,%s,%%s,%%s\n" % m for m in labels)
-        template = lambda run, row: "".join(row.replace("\0", labels[i]) for i in run)
-        fill = lambda lead, run, args: template(run, by_word) % args
-        join = lambda lead, run, pairs: template(run, by_pair) % tuple(pairs)
+        row = lambda i, cells: by_pair.replace("\0", labels[i]) % tuple(cells)
     else:
         head = '{"window": [%d, %d], "entries": [' % (window.lo, window.hi)
-        tail, pair = "]}\n", "[%s, %s]"
-        by_word = ", ".join([pair] * size)
-        fill = lambda lead, run, args: ", ".join(lead + [by_word] * len(run)) % args
-        join = lambda lead, run, pairs: ", ".join(lead + pairs)
-    first = pair % ("%.17g", "%.17g") + "\0"
-    split = (pair + "\0") * size
-    step = max(1, _TILE_ENTRIES // size)
-    pairs = None  # the previous row's pair strings, once a shifted row needs them
+        tail, sep, pair = "]}\n", ", ", "[%s, %s]"
+        by_pair = ", ".join(["%s"] * size)
+        row = lambda i, cells: ", ".join(cells)
     yield head
-    for lo in range(0, size, step):
-        hi, top = min(lo + step, size), max(lo - 1, 0)
-        words = np.ascontiguousarray(entries[top:hi], dtype=np.complex128).view(np.float64)
-        words = words.reshape(hi - top, size, 2)
-        bits = words.view(np.uint64)
-        # shifted[i - lo] for row i; row 0 has no row above it
-        shifted = [False] * (lo == 0) + (bits[1:, 1:] == bits[:-1, :-1]).all(axis=(1, 2)).tolist()
-        words, bits = words[lo - top:], bits[lo - top:]
-        fresh = [i for i, reuse in enumerate(shifted) if not reuse]
-        if fresh:
-            distinct, inverse = np.unique(bits[fresh], return_inverse=True)
-            text = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
-            tokens = np.array(text.split("\0")[:-1], dtype=object)
-            tokens = tokens[inverse.reshape(len(fresh), 2 * size)]
-        for reuse, run in itertools.groupby(range(lo, hi), lambda i: shifted[i - lo]):
-            run = list(run)
-            lead = [""] if run[0] else []  # a JSON run after the first opens with ", "
-            if reuse:
-                if pairs is None:
-                    pairs = (split % tuple(last.tolist())).split("\0")[:-1]
-                column = words[run[0] - lo:run[-1] - lo + 1, 0]
-                firsts = first * len(run) % tuple(column.ravel().tolist())
-                # row run[j] is the window that starts len(run) - 1 - j pairs in
-                diagonal = np.array(firsts.split("\0")[-2::-1] + pairs, dtype=object)
-                grid = sliding_window_view(diagonal, size)[len(run) - 1::-1]
-                yield join(lead, run, grid.ravel().tolist())
-                pairs = grid[-1].tolist()
-            else:
-                cells, tokens = tokens[:len(run)], tokens[len(run):]
-                yield fill(lead, run, tuple(cells.ravel().tolist()))
-                pairs, last = None, cells[-1]
+    if entries.ndim == 1:
+        # pairs[k] is d(size - 1 - k), so row i is pairs[size - 1 - i:2 size - 1 - i]
+        words = np.ascontiguousarray(entries[::-1], dtype=np.complex128).view(np.float64)
+        form = pair % ("%.17g", "%.17g") + "\0"
+        pairs = (form * (2 * size - 1) % tuple(words.tolist())).split("\0")
+        for i in range(size):
+            yield (sep if i else "") + row(i, pairs[size - 1 - i:2 * size - 1 - i])
+    else:
+        by_word = by_pair % ((pair,) * size)
+        step = max(1, _TILE_ENTRIES // size)
+        for lo in range(0, size, step):
+            rows = range(lo, min(lo + step, size))
+            tile = np.ascontiguousarray(entries[lo:rows.stop], dtype=np.complex128)
+            distinct, inverse = np.unique(tile.view(np.uint64), return_inverse=True)
+            tokens = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
+            cells = np.array(tokens.split("\0")[:-1], dtype=object)[inverse.reshape(-1)]
+            text = sep.join(by_word.replace("\0", labels[i]) for i in rows) % tuple(
+                cells.tolist())
+            yield (sep if lo else "") + text  # a JSON piece after the first opens with ", "
     yield tail
 
 
@@ -414,7 +390,8 @@ def cmd_observable(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         op = observable_operator(A, IntervalSet.from_string(args.x), w)
     else:
         op = moment_operator(A, args.moment, w)
-    return _operator_pieces(op.window, op.entries, args.format), 0
+    values = op.entries if op.diagonals is None else op.diagonals
+    return _operator_pieces(op.window, values, args.format), 0
 
 
 def cmd_covariance_check(args: argparse.Namespace) -> tuple[Iterable[str], int]:

@@ -157,11 +157,14 @@ def kernel_by_difference(X: IntervalSet, q) -> np.ndarray:
 class TruncatedOperator:
     """Operator block on a window.  Every builder below certifies it
     Hermitian in O(N) (see _certify_hermitian) before it is made.  For a
-    matrix that declares difference, entries is a read-only N x N view of
-    the 2N - 1 values by difference (O(N) memory); otherwise it is dense."""
+    matrix that declares difference, diagonals holds the operator's 2N - 1
+    values d(1 - N) .. d(N - 1) by difference and entries is their
+    read-only N x N view (O(N) memory); otherwise diagonals is None and
+    entries is dense."""
 
     window: IndexWindow
     entries: np.ndarray
+    diagonals: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.entries.shape != (self.window.size, self.window.size):
@@ -189,8 +192,7 @@ def _normalized_block(A: StructureMatrix,
         raise UsageError(f"{A.label} is not normalized on {w}: diagonal deviates "
                          f"from 1 by {diag_defect:.3e}")
     if block.ndim == 1:
-        return block, (float(np.max(np.abs(block - block[::-1].conj()))),
-                       float(np.max(np.abs(block))))
+        return block, _difference_certificate(block)
     block_max = max(float(np.max(np.abs(block[i:i + _TILE]))) for i in range(0, w.size, _TILE))
     return block, (hermitian_defect(block), block_max)
 
@@ -203,25 +205,21 @@ def _grid(values: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values, size)[::-1].T
 
 
-def _by_difference(f, size: int) -> np.ndarray:
-    """The size x size grid G[i, j] = f(i - j), the _grid of one call of f
-    on the 2 size - 1 differences 1 - size .. size - 1 (integer array
-    argument).
-
-    Every covariant kernel depends on n - m only, so this costs O(size)
-    evaluations of f; the entries are the same bits as f applied to the
-    dense difference grid, since f acts elementwise.
-    """
-
-    return _grid(f(np.arange(1 - size, size)))
+def _difference_certificate(values: np.ndarray) -> tuple[float, float]:
+    """(max |d(q) - conj(d(-q))|, max |d(q)|) over the 2N - 1 values d(1 -
+    N) .. d(N - 1) of a function of the difference: the Hermitian defect
+    and largest modulus of its N x N grid."""
+    return (float(np.max(np.abs(values - values[::-1].conj()))),
+            float(np.max(np.abs(values))))
 
 
 def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> None:
-    """Certify in O(N) that block * kernel is Hermitian to 1e-12.
+    """Certify in O(N) that block * kernel is Hermitian to 1e-12, for the
+    kernel's 2N - 1 values k(1 - N) .. k(N - 1).
 
     With d_B, b the block's Hermitian defect and largest modulus (the
-    certificate), and d_k = max |k(q) - conj(k(-q))|, K = max |k| from the
-    kernel grid's first column k(q) and first row k(-q):
+    certificate), and d_k = max |k(q) - conj(k(-q))|, K = max |k| the
+    kernel's (see _difference_certificate):
     |P_nm - conj(P_mn)| <= K d_B + b d_k + 2 sqrt(2) gamma_2 b K for P =
     block * kernel.  The exact products differ by k(q)(B_nm - conj(B_mn))
     + conj(B_mn)(k(q) - conj(k(-q))), and each rounded complex product is
@@ -232,9 +230,7 @@ def _certify_hermitian(certificate: tuple[float, float], kernel: np.ndarray) -> 
     """
 
     block_defect, block_max = certificate
-    column, row = kernel[:, 0], kernel[0, :]
-    kernel_defect = float(np.max(np.abs(column - row.conj())))
-    kernel_max = float(max(np.max(np.abs(column)), np.max(np.abs(row))))
+    kernel_defect, kernel_max = _difference_certificate(kernel)
     u = 2.0 ** -53
     bound = (kernel_max * block_defect + block_max * kernel_defect
              + 6.0 * u * block_max * kernel_max) * (1.0 + 16.0 * u)
@@ -248,15 +244,16 @@ def _covariant(block: np.ndarray, certificate: tuple[float, float], f,
                w: IndexWindow) -> TruncatedOperator:
     """P = block * k(n - m) for k = f, certified Hermitian in O(N) by
     _certify_hermitian, not by a dense pass over P.  A dense block is
-    overwritten by P; a block of values by difference gives P as the
-    read-only _grid of its 2N - 1 products, the same bits."""
+    overwritten by P; a block of values by difference gives P's 2N - 1
+    products as its diagonals, with their read-only _grid as entries, the
+    same bits."""
 
     values = f(np.arange(1 - w.size, w.size))
-    kernel = _grid(values)
-    _certify_hermitian(certificate, kernel)
+    _certify_hermitian(certificate, values)
     if block.ndim == 1:
-        return TruncatedOperator(w, _grid(block * values))
-    return TruncatedOperator(w, np.multiply(block, kernel, out=block))
+        diagonals = block * values
+        return TruncatedOperator(w, _grid(diagonals), diagonals)
+    return TruncatedOperator(w, np.multiply(block, _grid(values), out=block))
 
 
 def observable_operator(A: StructureMatrix, X: IntervalSet,
@@ -286,7 +283,7 @@ def covariance_defect(A: StructureMatrix, X: IntervalSet, x: float,
     values = [kernel_by_difference(X, q), kernel_by_difference(shift_interval(X, x), q),
               np.exp(1j * q * x)]
     for kernel in values[:2]:
-        _certify_hermitian(certificate, _grid(kernel))
+        _certify_hermitian(certificate, kernel)
     if block.ndim == 1:
         block, (base, shifted, phase) = block[None], [v[None] for v in values]
     else:

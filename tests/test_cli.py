@@ -724,10 +724,13 @@ def _reference_dumps(window, entries):
     return _render_json(payload), _render_csv(("n", "m", "re", "im"), rows)
 
 
-def _assert_dumps_match(window, entries):
+def _assert_dumps_match(window, entries, *diagonals):
+    """The dumps of the block entries, and of any 2N - 1 values by
+    difference given whose Toeplitz block it is, are the reference bytes."""
     ref_json, ref_csv = _reference_dumps(window, entries)
-    assert "".join(_operator_pieces(window, entries, "json")) == ref_json
-    assert "".join(_operator_pieces(window, entries, "csv")) == ref_csv
+    for given in (entries, *diagonals):
+        assert "".join(_operator_pieces(window, given, "json")) == ref_json
+        assert "".join(_operator_pieces(window, given, "csv")) == ref_csv
 
 
 def test_operator_dump_matches_reference_serializer():
@@ -773,12 +776,12 @@ def _toeplitz(values, size):
     return np.asarray(values)[idx[:, None] - idx[None, :] + size - 1]
 
 
-def test_operator_dump_reuses_shifted_rows_across_tiles(monkeypatch):
-    """Rows that repeat the previous one shifted, next to rows that do not,
-    give the reference bytes in three-row tiles: a Toeplitz block over
-    seven tiles (each tile after the first opens on a shifted row),
-    alternating shifted and fresh rows, and a row equal to the previous one
-    shifted by value but not by bits, whose -0 prints as -0."""
+def test_operator_dump_matches_reference_serializer_across_tiles(monkeypatch):
+    """Dumps in three-row tiles give the reference bytes: a Toeplitz block
+    over seven tiles, from the block and from its 2N - 1 values by
+    difference (one of them -0), a block whose odd rows repeat the row
+    above shifted, and a row equal to the previous one shifted by value but
+    not by bits, whose -0 prints as -0."""
     monkeypatch.setattr(cli, "_TILE_ENTRIES", 3 * 20)
     rng = np.random.default_rng(7)
     diagonals = rng.normal(size=39) + 1j * rng.normal(size=39)
@@ -789,12 +792,13 @@ def test_operator_dump_reuses_shifted_rows_across_tiles(monkeypatch):
     signed = toeplitz.copy()
     signed[8, 15] = complex(-0.0, 0.0)  # toeplitz[7, 14] is 0.0
     assert (signed[8, 1:] == signed[7, :-1]).all()
-    for entries in (toeplitz, alternating, signed):
-        for window in (cn.IndexWindow(0, 19), cn.IndexWindow(-7, 12), cn.IndexWindow(-25, -6)):
+    for window in (cn.IndexWindow(0, 19), cn.IndexWindow(-7, 12), cn.IndexWindow(-25, -6)):
+        _assert_dumps_match(window, toeplitz, diagonals)
+        for entries in (alternating, signed):
             _assert_dumps_match(window, entries)
     for z in (complex(-0.0, 0.0), 0.5 - 0.5j):
         for window in (cn.IndexWindow(0, 0), cn.IndexWindow(-3, -3)):
-            _assert_dumps_match(window, np.full((1, 1), z))
+            _assert_dumps_match(window, np.full((1, 1), z), np.full(1, z))
     csv_lines = "".join(_operator_pieces(cn.IndexWindow(0, 19), signed, "csv")).split("\n")
     assert "7,14,0,0" in csv_lines and "8,15,-0,0" in csv_lines
 
@@ -808,7 +812,8 @@ def test_operator_dump_matches_reference_serializer_random(size, lo, tile, data)
     diagonals = np.asarray(parts[:4 * size - 2], dtype=float).view(np.complex128)
     with mock.patch.object(cli, "_TILE_ENTRIES", tile):  # tiles of tile // size rows, at least one
         _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), entries[..., 0])
-        _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), _toeplitz(diagonals, size))
+        _assert_dumps_match(cn.IndexWindow(lo, lo + size - 1), _toeplitz(diagonals, size),
+                            diagonals)
     rows = [(lo + i, re, im) for i, (re, im) in enumerate(np.reshape(parts, (-1, 2)).tolist())]
     assert _report_text(("n", "re", "im"), rows, "csv") == \
         "n,re,im\n" + "".join("%d,%.17g,%.17g\n" % row for row in rows)

@@ -12,7 +12,7 @@ import covnoise as cn
 from covnoise.errors import ContractViolationError, UsageError
 from covnoise import observables
 from covnoise.matrices import hermitian_defect
-from covnoise.observables import TWO_PI, _by_difference, angle_from_string
+from covnoise.observables import TWO_PI, _grid, angle_from_string
 
 N = cn.IndexDomain.NATURALS
 Z = cn.IndexDomain.INTEGERS
@@ -190,7 +190,7 @@ def test_difference_indexed_kernels_are_dense_bit_for_bit(w):
                lambda q: cn.moment_kernel(2, q),
                lambda q: np.exp(1j * q * x)]
     for f in kernels:
-        grid = _by_difference(f, w.size)
+        grid = _grid(f(np.arange(1 - w.size, w.size)))
         assert np.array_equal(_bits(grid), _bits(f(d)))
         with pytest.raises(ValueError, match="read-only"):
             grid[0, 0] = 0.0

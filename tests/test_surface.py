@@ -1,5 +1,6 @@
 """The public surface is what the program reaches: every name the package
-re-exports is used by one of its own modules or by the benchmark."""
+re-exports, and every function and class it defines, is used by one of its
+own modules or by the benchmark."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,15 @@ def test_every_re_exported_name_is_used_outside_the_package_init():
     users += (ROOT / "perfbench").glob("*.py")
     used = set().union(*map(_loaded_names, users))
     assert sorted(exported - used) == []
+
+
+def test_every_function_and_class_of_the_package_is_loaded_by_the_program():
+    """A module-level function or class that only the tests load belongs in
+    the tests, not in the package."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {f"{path.stem}.{node.name}": node.name for path in modules
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert "noise.noise_value" in defined  # the parse found the definitions
+    used = set().union(*map(_loaded_names, modules + sorted((ROOT / "perfbench").glob("*.py"))))
+    assert sorted(key for key, name in defined.items() if name not in used) == []
