@@ -13,6 +13,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -34,6 +35,8 @@ _SUITES = ("chessboard", "torus", "covariance", "noise_diagonal", "schur", "all"
 _CONFIG_KEYS = ("matrix", "tolerance", "window", "format", "seed")
 # The longest --n, --l or --r list; a longer one exits 3 before it is built.
 MAX_LIST_LENGTH = 1_000_000
+# No option starts with a digit, so "-" and a digit opens a value: --n -3:2.
+_NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -476,6 +479,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def command(name: str, summary: str, func, **reads) -> argparse.ArgumentParser:
         # reads maps each shared option read, --tol as tol, to its default
         sp = sub.add_parser(name, help=summary)
+        sp._negative_number_matcher = _NEGATIVE_VALUE
         for flag, kwargs in _SHARED_OPTIONS.items():
             dest = flag[2:]
             if dest in ("config", "out") or dest in reads:

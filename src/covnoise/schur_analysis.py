@@ -25,6 +25,7 @@ from .observables import IntervalSet, kernel_by_difference
 class NormMethod(Enum):
     HERMITIAN_EIGEN = "hermitian_eigen"
     TOEPLITZ_POWER = "toeplitz_power"
+    STRUCTURE = "structure"
 
 
 _STALL, _MAX_MATVECS = 4, 1000  # see _toeplitz_perron_norm
@@ -36,9 +37,9 @@ class NormEstimate:
 
     The dense path (HERMITIAN_EIGEN) is one eigensolve: iterations and
     residual are 0 and lower/upper are None, so its value is not
-    certified.  The Toeplitz power iteration sets lower/upper, which
-    certify the norm: lower <= ||M|| <= upper after rounding; iterations
-    counts its FFT matvecs and residual is the relative width.
+    certified.  The Toeplitz power iteration and STRUCTURE set lower/upper,
+    which certify the norm: lower <= ||M|| <= upper after rounding;
+    iterations counts FFT matvecs and residual is the relative width.
     """
 
     value: float
@@ -55,7 +56,7 @@ def _real_form_eigenvalues(H: np.ndarray) -> np.ndarray:
     R = [[Re A + Re C, Im C - Im A], [Im A + Im C, Re A - Re C]] for k = n//2,
     A = H[:k, :k], C[i, j] = H[i, n-1-j]; an odd middle index joins the first
     block by the column sqrt(2) H[:k, k], real part up, imaginary part down.
-    R is written in place, and a real H gives two diagonal blocks."""
+    R is written in place."""
 
     k, m = H.shape[0] // 2, (H.shape[0] + 1) // 2
     A, C, x = H[:k, :k], H[:k, ::-1][:, :k], math.sqrt(2.0) * H[:k, k:m]
@@ -64,8 +65,6 @@ def _real_form_eigenvalues(H: np.ndarray) -> np.ndarray:
     R[:k, k:m], R[k:m, :k] = x.real, x.real.T
     np.add(A.real, C.real, out=R[:k, :k])
     np.subtract(A.real, C.real, out=R[m:, m:])
-    if not np.iscomplexobj(H):
-        return np.concatenate([np.linalg.eigvalsh(R[:m, :m]), np.linalg.eigvalsh(R[m:, m:])])
     R[m:, k:m], R[k:m, m:] = x.imag, x.imag.T
     np.subtract(C.imag, A.imag, out=R[:k, m:])
     np.add(A.imag, C.imag, out=R[m:, :k])
@@ -73,34 +72,24 @@ def _real_form_eigenvalues(H: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(M: np.ndarray) -> NormEstimate:
-    """Spectral norm of a dense matrix from one Hermitian eigensolve.
+    """Spectral norm of a Hermitian matrix: its largest absolute eigenvalue.
 
-    A Hermitian input (to 1e-12) gives the largest absolute eigenvalue of
-    H = (M + M^H)/2; any other input, rectangular included, gives the
-    square root of the largest eigenvalue of M^H M.  The dtype picks the
-    arithmetic: a complex array is solved in complex128, any other (float,
-    integer, bool) in float64, where M^H is a view and the symmetric solve
-    is about 4x cheaper.  A centrohermitian H (H[::-1, ::-1] == conj(H)
-    exactly, as for every Hermitian Toeplitz H) is solved in float64 through
-    its real form (_real_form_eigenvalues), a unitary similarity.
-    Deterministic, O(n^3) time and O(n^2) memory, and not certified.
+    M must be nonempty, square, finite and Hermitian to 1e-12 (else
+    UsageError).  H = (M + M^H)/2 takes one complex128 eigensolve or, if
+    centrohermitian (H[::-1, ::-1] == conj(H) exactly, as every Hermitian
+    Toeplitz H), one float64 eigensolve of its real form, a unitary
+    similarity about 4x cheaper.  Deterministic, O(n^3), not certified.
     """
 
-    M = np.asarray(M)
-    if M.ndim != 2 or M.size == 0:
-        raise UsageError(f"operator norm needs a nonempty 2-d array, got shape {M.shape}")
-    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
-    if not np.isfinite(M).all():
-        raise UsageError("operator norm needs finite entries")
-    MH = M.conj().T
-    if M.shape[0] == M.shape[1] and hermitian_defect(M) <= 1e-12:
-        H = M + MH
-        H /= 2.0  # exactly Hermitian: the centrohermitian test reads conj(H) as H.T
-        solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.T) else np.linalg.eigvalsh
-        value = float(np.max(np.abs(solve(H))))
-    else:
-        value = math.sqrt(max(float(np.linalg.eigvalsh(MH @ M)[-1]), 0.0))
-    return NormEstimate(value, NormMethod.HERMITIAN_EIGEN, 0, 0.0)
+    M = np.asarray(M, dtype=np.complex128)
+    if (M.ndim != 2 or M.size == 0 or M.shape[0] != M.shape[1] or not np.isfinite(M).all()
+            or hermitian_defect(M) > 1e-12):
+        raise UsageError("operator norm needs a nonempty, square and finite array that is "
+                         f"Hermitian to 1e-12, got shape {M.shape}")
+    H = M + M.conj().T
+    H /= 2.0  # exactly Hermitian: the centrohermitian test reads conj(H) as H.T
+    solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.T) else np.linalg.eigvalsh
+    return NormEstimate(float(np.max(np.abs(solve(H)))), NormMethod.HERMITIAN_EIGEN, 0, 0.0)
 
 
 def _half_circle_column(r: int) -> np.ndarray:
@@ -239,12 +228,24 @@ def sylvester_hadamard(p: int) -> np.ndarray:
 
 
 def sylvester_hadamard_example(p: int) -> tuple[np.ndarray, NormEstimate, NormEstimate]:
-    """Normalized Sylvester matrix A_p = H / 2^(p/2) with the norms of
-    A_p (equal to 1: the matrix is orthogonal) and of its entrywise
-    modulus (equal to 2^(p/2): a rank-one flat matrix)."""
+    """Normalized Sylvester matrix A_p = H / s, s = fl(2^(p/2)), with the
+    norms of A_p (about 1) and of |A_p| (about 2^(p/2)), certified by
+    structure: H must be +-1 with H H^T = 2^p I (its diagonal the only
+    nonzeros, exact in float64), else ContractViolationError.  A_p = r H
+    exactly, r = fl(1/s), so ||A_p|| = r 2^(p/2), bracketed one nextafter
+    outward per rounding in fl(r s), and || |A_p| || = r 2^p, a float."""
 
-    A = sylvester_hadamard(p) / 2.0 ** (p / 2.0)
-    return A, operator_norm(A), operator_norm(np.abs(A))
+    H = sylvester_hadamard(p)
+    if not np.all(np.abs(H) == 1.0) or np.count_nonzero(H @ H.T) != H.shape[0]:
+        raise ContractViolationError(f"the doubling of order {p} is not a Hadamard matrix")
+    s = math.sqrt(2.0 ** p)
+    r = 1.0 / s
+    value = lower = upper = r * s
+    for _ in range(2 * (p % 2)):  # s and r s are exact for even p
+        lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)
+    norm = NormEstimate(value, NormMethod.STRUCTURE, 0, (upper - lower) / value, lower, upper)
+    modulus = r * 2.0 ** p
+    return H / s, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, 0.0, modulus, modulus)
 
 
 @dataclass(frozen=True)

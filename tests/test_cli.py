@@ -935,6 +935,24 @@ def test_hadamard_p_max_out_of_range_is_a_usage_error(capsys, monkeypatch, argv)
     assert "[1, 12]" in err
 
 
+CHESS_Z = json.dumps({"kind": "chessboard", "domain": "Z", "xi": 0.5})
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["noise-table", "--matrix", CHESS_Z, "--l", "1,2", "--tol", "1e-6"], "--n", "-3:2"),
+    (["noise-diagonal", "--matrix", CHESS_Z, "--window=-128:127"], "--n", "-40,0,17"),
+    (["covariance-check", "--matrix", CHESS_Z], "--window", "-16:15"),
+    (["observable", "--matrix", CHESS_Z, "--format", "csv"], "--window", "-16:15"),
+])
+def test_negative_values_parse_in_the_spaced_form(capsys, argv, option, value):
+    """A token of a minus sign and a digit is a value, not an option: the
+    spaced form prints the bytes and exits with the code of the = form."""
+    spaced = run_cli(capsys, *argv, option, value)
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
+
+
 def test_noise_diagonal_huge_window_exits_3(capsys):
     code, out, err = run_cli(capsys, "noise-diagonal", "--window", "0:1000000000000",
                              "--n", "500000000000")

@@ -17,28 +17,28 @@ NORM_55 = 1.8907908939598834
 
 
 def test_operator_norm_analytic_cases():
-    shift = np.asarray([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-    est = cn.operator_norm(shift)
-    assert est.method is cn.NormMethod.HERMITIAN_EIGEN
-    assert est.value == 1.0
+    """Hermitian input of any numeric dtype; anything else (not Hermitian,
+    rectangular, empty, not finite) is a usage error."""
     sym = np.asarray([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
     est = cn.operator_norm(sym)
     assert est.method is cn.NormMethod.HERMITIAN_EIGEN
     assert est.value == pytest.approx(3.0, abs=1e-12)
     assert est.iterations == 0 and est.residual == 0.0
     assert est.lower is None and est.upper is None
+    assert cn.operator_norm(sym.real).value == pytest.approx(3.0, rel=1e-15)
     swap = np.asarray([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     assert cn.operator_norm(swap).value == pytest.approx(1.0, abs=1e-15)
-    row = np.asarray([[3.0, 4.0j]])  # rectangular: the norm of the row vector
-    assert cn.operator_norm(row).value == pytest.approx(5.0, rel=1e-15)
-    assert cn.operator_norm(row.T).value == pytest.approx(5.0, rel=1e-15)
+    assert cn.operator_norm(np.asarray([[0.0, 1.0j], [-1.0j, 0.0]])).value == pytest.approx(1.0)
+    assert cn.operator_norm(np.eye(3, dtype=bool)).value == 1.0
     zero = np.zeros((3, 3), dtype=np.complex128)
     assert cn.operator_norm(zero).value == 0.0
-    assert cn.operator_norm(np.zeros((2, 5))).value == 0.0
-    with pytest.raises(UsageError):
-        cn.operator_norm(np.asarray([[math.nan]]))
-    with pytest.raises(UsageError):
-        cn.operator_norm(np.zeros((0, 3)))
+    shift = np.asarray([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    row = np.asarray([[3.0, 4.0j]])
+    for M in (shift, row, row.T, np.zeros((2, 5)), np.zeros((0, 3)), np.asarray([[math.nan]]),
+              np.asarray([[1.0, math.inf], [math.inf, 1.0]]),
+              np.asarray([[1.0, complex(0.0, math.nan)], [complex(0.0, math.nan), 1.0]])):
+        with pytest.raises(UsageError):
+            cn.operator_norm(M)
     with pytest.raises(TypeError):
         cn.operator_norm(sym, method=cn.NormMethod.HERMITIAN_EIGEN)
 
@@ -46,6 +46,7 @@ def test_operator_norm_analytic_cases():
 def test_operator_norm_deterministic():
     rng = np.random.default_rng(12)
     M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    M = (M + M.conj().T) / 2.0
     a = cn.operator_norm(M)
     b = cn.operator_norm(M)
     assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
@@ -68,12 +69,13 @@ def _hermitian_toeplitz(rng, size, real=False):
 @given(seed=st.integers(0, 10_000), shape=st.sampled_from(_SHAPES))
 @settings(max_examples=100, deadline=None)
 def test_operator_norm_matches_svd(seed, shape):
-    """The one eigensolve agrees with the top singular value on Hermitian,
-    non-Hermitian and rectangular complex matrices, on their real float64
-    counterparts, on integer and bool arrays, and on the centrohermitian
-    inputs solved through their real form (Hermitian Toeplitz, real
-    symmetric Toeplitz, and centrohermitian but not Toeplitz), of sides 1
-    to 256."""
+    """The one eigensolve agrees with the top singular value on Hermitian
+    complex and real symmetric matrices and on the centrohermitian inputs
+    solved through their real form (Hermitian Toeplitz, real symmetric
+    Toeplitz, and centrohermitian but not Toeplitz), of sides 1 to 256.
+    Non-Hermitian and rectangular complex, real, integer and bool arrays
+    are refused, unless the draw happens to be Hermitian (a 1 x 1 real
+    array, a symmetric bool one)."""
     rng = np.random.default_rng(seed)
     rows, cols = (int(k) for k in rng.integers(1, 257, size=2))
     if shape in ("hermitian", "square", "real-symmetric", "real-square", "centrohermitian"):
@@ -96,6 +98,13 @@ def test_operator_norm_matches_svd(seed, shape):
         M = (M + M.conj().T) / 2.0
     if shape.endswith(("toeplitz", "centrohermitian")):
         assert np.array_equal(M[::-1, ::-1], M.conj())
+    hermitian = M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T)
+    assert hermitian or shape not in ("hermitian", "real-symmetric", "hermitian-toeplitz",
+                                      "real-toeplitz", "centrohermitian")
+    if not hermitian:
+        with pytest.raises(UsageError, match="Hermitian to 1e-12"):
+            cn.operator_norm(M)
+        return
     est = cn.operator_norm(M)
     top = np.linalg.svd(M.astype(np.result_type(M, np.float64)), compute_uv=False)[0]
     assert est.method is cn.NormMethod.HERMITIAN_EIGEN
@@ -108,35 +117,6 @@ def _spy_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: seen.append((a.dtype, a.shape)) or eigvalsh(a))
     return seen
-
-
-def test_operator_norm_solves_real_input_in_float64(monkeypatch):
-    """The dtype picks the arithmetic of a general solve: real, integer and
-    bool arrays reach eigvalsh as float64.  A centrohermitian Hermitian
-    part reaches it through its real form: one float64 solve at full order
-    for a complex array (even when every imaginary part is zero), two at
-    half order for a real one, whose real form is block-diagonal."""
-    seen = _spy_eigvalsh(monkeypatch)
-    sym = np.asarray([[2.0, 1.0], [1.0, 2.0]])
-    f64 = np.dtype(np.float64)
-    halves, full = [(f64, (1, 1)), (f64, (1, 1))], [(f64, (2, 2))]
-    cases = [(sym, halves), (np.asarray([[0.0, 1.0], [0.0, 0.0]]), full),
-             (sym.astype(np.float32), halves), (np.asarray([[1, 2], [3, 4]]), full),
-             (np.eye(3, dtype=bool), [(f64, (2, 2)), (f64, (1, 1))]),
-             (np.ones((2, 3)), [(f64, (3, 3))]),
-             (sym.astype(np.complex128), full),
-             (sym.astype(np.complex64), full),
-             (np.asarray([[0.0, 1.0j], [-1.0j, 0.0]]), full)]
-    for M, calls in cases:
-        seen.clear()
-        cn.operator_norm(M)
-        assert seen == calls, (M.dtype, seen)
-    assert cn.operator_norm(sym).value == pytest.approx(3.0, rel=1e-15)
-    assert cn.operator_norm(sym.astype(np.complex128)).value == pytest.approx(3.0, rel=1e-15)
-    with pytest.raises(UsageError):
-        cn.operator_norm(np.asarray([[1.0, math.inf]]))
-    with pytest.raises(UsageError):
-        cn.operator_norm(np.asarray([[1.0, complex(0.0, math.nan)]]))
 
 
 @pytest.mark.parametrize("side", [2, 5, 64, 65])
@@ -351,6 +331,61 @@ def test_sylvester_construction():
         cn.sylvester_hadamard(13)
 
 
+def _flip_one_sign(monkeypatch):
+    """sylvester_hadamard with the sign of one entry, off the first row
+    and column, flipped: still +-1, no longer orthogonal."""
+    real = schur_analysis.sylvester_hadamard
+
+    def flipped(p):
+        H = real(p)
+        H[-1, 1] = -H[-1, 1]
+        return H
+
+    monkeypatch.setattr(schur_analysis, "sylvester_hadamard", flipped)
+
+
+@pytest.mark.parametrize("p", range(1, 12))
+def test_sylvester_norms_are_certified_by_structure(monkeypatch, capsys, p):
+    """Every entry of A_p is +-r, r = fl(1/fl(2^(p/2))): the modulus norm
+    r 2^p is an exact point and the norm bracket holds r 2^(p/2), evaluated
+    here in 100-digit arithmetic.  A Sylvester block with one sign flipped
+    raises, and hadamard exits 1."""
+    mpmath = pytest.importorskip("mpmath")
+    from covnoise.cli import main
+
+    A, norm, modulus = cn.sylvester_hadamard_example(p)
+    r = 1.0 / math.sqrt(2.0**p)
+    assert np.all(np.abs(A) == r)
+    assert modulus.method is norm.method is cn.NormMethod.STRUCTURE
+    assert modulus.lower == modulus.value == modulus.upper == r * 2.0**p
+    with mpmath.workdps(100):
+        exact = mpmath.mpf(r) * mpmath.sqrt(2) ** p
+        assert mpmath.mpf(norm.lower) <= exact <= mpmath.mpf(norm.upper)
+    assert norm.lower <= norm.value <= norm.upper
+    assert (norm.lower == norm.upper == 1.0) == (p % 2 == 0)
+    assert norm.upper - norm.lower <= 4 * 2.0**-52
+    _flip_one_sign(monkeypatch)
+    with pytest.raises(ContractViolationError, match="not a Hadamard matrix"):
+        cn.sylvester_hadamard_example(p)
+    assert main(["hadamard", "--p-max", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("check failed:")
+
+
+def test_sylvester_norms_take_no_eigensolve(monkeypatch, tmp_path):
+    """hadamard and the block-diagonal report read every norm off the
+    structure; verify's schur suite solves only its observable."""
+    from covnoise import verify
+    from covnoise.cli import main
+
+    seen = _spy_eigvalsh(monkeypatch)
+    assert main(["hadamard", "--p-max", "10", "--out", str(tmp_path / "h.csv")]) == 0
+    cn.block_diagonal_norm_divergence(10)
+    assert seen == []
+    assert verify.run("schur", 0).ok
+    assert seen == [(np.dtype(np.float64), (64, 64))]
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
 def test_sylvester_norm_separation(p):
     _, norm, modulus_norm = cn.sylvester_hadamard_example(p)
@@ -371,24 +406,25 @@ def test_block_diagonal_divergence():
 
 def test_block_diagonal_norm_is_the_largest_block_norm(monkeypatch):
     """The direct sum is never formed: the overall estimate is the largest
-    of the block estimates, and no norm is taken of a matrix wider than
-    the largest block."""
+    of the block estimates, and no block is wider than the largest
+    Sylvester block."""
     import covnoise.schur_analysis as S
 
     sizes = []
     blocks = [cn.sylvester_hadamard_example(p)[1] for p in range(1, 11)]
-    real_norm = S.operator_norm
+    real_example = S.sylvester_hadamard_example
 
-    def recording_norm(M):
-        sizes.append(np.asarray(M).shape[0])
-        return real_norm(M)
+    def recording_example(p):
+        example = real_example(p)
+        sizes.append(example[0].shape[0])
+        return example
 
-    monkeypatch.setattr(S, "operator_norm", recording_norm)
+    monkeypatch.setattr(S, "sylvester_hadamard_example", recording_example)
     report = cn.block_diagonal_norm_divergence(10)
     assert report.overall_norm == max(blocks, key=lambda e: e.value)
-    assert report.overall_norm.method is cn.NormMethod.HERMITIAN_EIGEN
+    assert report.overall_norm.method is cn.NormMethod.STRUCTURE
     assert report.dimension == 2046
-    assert max(sizes) == 1024
+    assert sizes == [2**p for p in range(1, 11)]
     for p_max in range(1, 11):
         report = cn.block_diagonal_norm_divergence(p_max)
         assert abs(report.overall_norm.value - 1.0) <= 1e-9
