@@ -26,7 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .matrices import IndexDomain, IndexWindow, ChessboardParams, Orientation, StructureMatrix
+from .matrices import (IndexDomain, IndexWindow, ChessboardParams, Orientation, StructureMatrix,
+                       _fan_out)
 
 _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
@@ -34,6 +35,8 @@ DEFAULT_TERM_CAP = 10**8
 MAX_ORDER = 622
 # offsets per side in one block of a row sum: 2^18 values, 32 MiB of C^8 vectors
 _CHUNK = 1 << 17
+# offsets per side in one tile of a block: 2^14 zigzag indices, 16 Philox blocks
+_TILE_OFFSETS = 1 << 13
 _UNIT = 2.0**-53
 # above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
 _LATTICE_BOUND = 3.3
@@ -261,12 +264,14 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
     over j = 1..down.
 
-    Offsets are evaluated outward in blocks of _CHUNK a side, both sides of
-    a block in one oracle call, so sides that share per-index data (on the
-    integers, seeded values drawn in blocks of zigzag indices) fetch it
-    once.  Each side of a block is summed by numpy and the sums are
-    combined with exact compensated addition, so the result does not
-    depend on how far the row reaches.
+    Offsets are evaluated outward in blocks of _CHUNK a side, each in tiles
+    of _TILE_OFFSETS a side, both sides of a tile in one oracle call, so
+    sides that share per-index data (on the integers, seeded values drawn
+    in blocks of zigzag indices) fetch it once.  The far tile goes first,
+    in this thread, so its fetch draws the cached values the block needs;
+    the rest fan out over every CPU.  Each side of a block is summed by
+    numpy and the sums are combined with exact compensated addition, so
+    the result does not depend on the tiles or on how far the row reaches.
     """
 
     pieces: list[float] = []
@@ -274,11 +279,26 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     for start in range(1, reach + 1, _CHUNK):
         js = np.arange(start, min(start + _CHUNK, reach + 1))
         inv = 1.0 / (js.astype(float) ** 2)
-        u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
-        got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
-        for mags in (got[:u.size], got[u.size:]):
-            if mags.size:
-                pieces.append(float(np.sum(mags**l * inv[:mags.size])))
+        ends = max(up - start + 1, 0), max(down - start + 1, 0)
+
+        def terms(a: int) -> list[np.ndarray]:
+            b = a + _TILE_OFFSETS
+            u, d = js[a:min(b, ends[0])], js[a:min(b, ends[1])]
+            got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
+            return [got[:u.size]**l * inv[a:a + u.size], got[u.size:]**l * inv[a:a + d.size]]
+
+        def put(a: int) -> None:
+            for side, part in zip(sides, terms(a)):
+                side[a:a + part.size] = part
+
+        if js.size <= _TILE_OFFSETS:
+            sides = terms(0)
+        else:
+            tiles = range(0, js.size, _TILE_OFFSETS)
+            sides = [np.empty(min(end, js.size)) for end in ends]
+            put(tiles[-1])
+            _fan_out(put, tiles[:-1])
+        pieces += [float(np.sum(side)) for side in sides if side.size]
     return math.fsum(pieces)
 
 

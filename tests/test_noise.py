@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covnoise as cn
+from covnoise import matrices, noise, observables
 from covnoise.errors import ResourceLimitError, UsageError
 from covnoise.noise import (_class_tail, _gamma, _zeta2_enclosure, even_inverse_squares,
                             odd_inverse_squares)
@@ -424,3 +428,255 @@ def test_asymptotic_estimate_reports_samples():
     assert est.sample_points == (1024, 2048, 4096)
     assert len(est.samples) == 3
     assert est.estimate == est.samples[-1].value
+
+
+def _one_call_per_chunk_head_sum(A, n, l, up, down):
+    """The row head summed with one oracle call per block of _CHUNK offsets
+    a side and each side of a block summed by np.sum: the bits every tiling
+    of the blocks must reproduce."""
+    pieces = []
+    reach = max(up, down)
+    for start in range(1, reach + 1, noise._CHUNK):
+        js = np.arange(start, min(start + noise._CHUNK, reach + 1))
+        inv = 1.0 / (js.astype(float) ** 2)
+        u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
+        got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
+        for mags in (got[:u.size], got[u.size:]):
+            if mags.size:
+                pieces.append(float(np.sum(mags**l * inv[:mags.size])))
+    return math.fsum(pieces)
+
+
+def _unit_vectors(idx):
+    t = np.asarray(idx, dtype=float)
+    v = np.stack([np.cos(0.37 * t) + 0j, np.sin(0.37 * t) * np.exp(1j * t), 0.5 + 0j * t], -1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+_TILED_BUILDERS = {
+    "constant_one": cn.constant_one,
+    "chessboard": lambda d: cn.chessboard(d, cn.ChessboardParams(0.3)),
+    "linear_torus": lambda d: cn.matrix_from_spec(
+        {"kind": "torus", "domain": d.value, "phases": {"formula": "linear", "slope": 0.7}}),
+    "seeded_torus": lambda d: cn.seeded_torus(d, seed=5),
+    "seeded_gram": lambda d: cn.seeded_gram(d, 8, seed=5),
+    "vectors_gram": lambda d: cn.gram_from_vectors(d, _unit_vectors),
+}
+
+
+def _tiled_results(A, domain, reach, tol):
+    """Head sums, moment and noise ends and windowed noise diagonals of A,
+    as float.hex: at n = 0 and at n inside the first tile, with up != down.
+    The brackets use A without its profile, so their heads are long."""
+    bare = dataclasses.replace(A, profile=None)
+    inside = 1 + min(noise._TILE_OFFSETS, reach) // 2
+    rows = [(0, reach, 0 if domain is N else reach // 3 + 1), (inside, reach, inside)]
+    if domain is Z:
+        rows.append((-inside, reach // 2, reach))
+    out = []
+    for n, up, down in rows:
+        out.append(noise._head_sum(A, n, 1, up, down).hex())
+        q = cn.NoiseQuery(n, 2, tol)
+        m, s = noise.moment(bare, q), noise.noise_value(bare, q)
+        out += [m.lower.hex(), m.upper.hex(), s.lower.hex(), s.upper.hex(), m.cutoff]
+        w = cn.IndexWindow(0, n + reach) if domain is N else cn.IndexWindow(n - reach // 2,
+                                                                           n + reach)
+        out.append(observables.noise_operator_diagonal(A, n, w)[0].hex())
+    return out
+
+
+@pytest.mark.parametrize("tile, chunk, reach, tol, budget", [
+    (1, 64, 150, 2e-2, None),
+    (3, 100, 400, 1e-2, None),
+    (1000, 2500, 7000, 1e-3, None),
+    (None, 3 * 8192 + 5, 60000, 1e-4, None),
+    (None, 3 * 8192 + 5, 60000, 1e-4, 1 << 17),
+], ids=["tile1", "tile3", "tile1000", "default", "default-past-budget"])
+@pytest.mark.parametrize("domain", [N, Z])
+def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, tile, chunk, reach,
+                                                            tol, budget, domain):
+    """Filling each side of a block in tiles of any size, the far tile first
+    and the rest fanned out, gives the bits of one oracle call per block:
+    rows spanning several blocks, n = 0 and n inside the first tile, up !=
+    down, on every builder, and past a cache budget of 128 KiB."""
+    if tile is not None:
+        monkeypatch.setattr(noise, "_TILE_OFFSETS", tile)
+    monkeypatch.setattr(noise, "_CHUNK", chunk)
+    if budget is not None:
+        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
+    for name, build in _TILED_BUILDERS.items():
+        tiled = _tiled_results(build(domain), domain, reach, tol)
+        with monkeypatch.context() as mp:
+            mp.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
+            mp.setattr(observables, "_head_sum", _one_call_per_chunk_head_sum)
+            reference = _tiled_results(build(domain), domain, reach, tol)
+        assert tiled == reference, name
+
+
+def test_tiled_rows_keep_their_bits_under_a_short_switch_interval(monkeypatch):
+    """With six CPUs and a 1 us switch interval, the tiles of gram rows
+    whose cache budget ends inside a block run on several threads, so the
+    caller may extend the store while workers read it and draw past it: the
+    bits stay those of one oracle call per block."""
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    monkeypatch.setattr(matrices, "_CACHE_BYTES", 3 << 20)
+    queries = [(N, cn.NoiseQuery(2, 1, 2e-5)), (Z, cn.NoiseQuery(-9, 2, 4e-5))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tiled = [noise.noise_value(cn.seeded_gram(d, 8, seed=7), q) for d, q in queries]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
+    reference = [noise.noise_value(cn.seeded_gram(d, 8, seed=7), q) for d, q in queries]
+    assert all(v.cutoff > 3 * noise._TILE_OFFSETS for v in tiled)
+    assert [(v.lower.hex(), v.upper.hex()) for v in tiled] == \
+        [(v.lower.hex(), v.upper.hex()) for v in reference]
+
+
+def _drawn_blocks(monkeypatch):
+    """Record the blocks of every _BlockCache._draw call."""
+    calls = []
+    real = matrices._BlockCache._draw
+
+    def spy(self, blocks, out):
+        calls.append(np.array(blocks))
+        real(self, blocks, out)
+
+    monkeypatch.setattr(matrices._BlockCache, "_draw", spy)
+    return calls
+
+
+def test_rows_inside_the_budget_draw_each_block_once(monkeypatch):
+    """A gram row on Z that spans several tiles of one block draws every
+    Philox block below its top zigzag index exactly once: the block of the
+    row's own vector when the oracle fetches it, and every other block in
+    one call made by the far tile.  The row again draws nothing."""
+    calls = _drawn_blocks(monkeypatch)
+    A = cn.seeded_gram(Z, 8, seed=4)
+    v = cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-4))
+    assert noise._TILE_OFFSETS < v.cutoff <= noise._CHUNK
+    top = 2 * v.cutoff  # the zigzag index of n + cutoff at n = 0
+    assert [c.tolist() for c in calls] == [[0], list(range(1, top // matrices._BLOCK + 1))]
+    assert cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-4)) == v
+    assert len(calls) == 2
+
+
+def _tile_boundaries_past(reach, first):
+    """Tile boundaries of a row on Z at n = 0 whose offsets lie past zigzag
+    index first."""
+    return sum(1 for start in range(1, reach + 1, noise._CHUNK)
+               for a in range(start + noise._TILE_OFFSETS, min(start + noise._CHUNK, reach + 1),
+                              noise._TILE_OFFSETS)
+               if 2 * a - 1 >= first)
+
+
+@pytest.mark.parametrize("budget, tol, pinned", [(None, 4e-6, 541), (1 << 20, 1e-4, None)])
+def test_rows_past_the_budget_draw_one_extra_block_per_tile_boundary(monkeypatch, budget, tol,
+                                                                     pinned):
+    """Past the budget each tile draws the blocks it needs, so a block that
+    two tiles share is drawn by both: at most one more block per tile
+    boundary past the budget than one oracle call per block of _CHUNK
+    offsets draws.  The gate row (gram on Z, n = 0, l = 1, tol 4e-6) draws
+    541 blocks, 540 with one call per block."""
+    if budget is not None:
+        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
+    calls = _drawn_blocks(monkeypatch)
+    q = cn.NoiseQuery(0, 1, tol)
+    v = cn.noise_value(cn.seeded_gram(Z, 8, seed=1), q)
+    tiled = sum(map(len, calls))
+    calls.clear()
+    monkeypatch.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
+    assert cn.noise_value(cn.seeded_gram(Z, 8, seed=1), q) == v
+    per_chunk = sum(map(len, calls))
+    limit = matrices._CACHE_BYTES // (matrices._BLOCK * 128)
+    extra = _tile_boundaries_past(v.cutoff, limit * matrices._BLOCK)
+    assert extra > 0 and per_chunk <= tiled <= per_chunk + extra
+    if pinned is not None:
+        assert (tiled, per_chunk) == (pinned, pinned - 1)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+    live = 0
+    most = 0
+    lock = threading.Lock()
+
+    def run(self):
+        cls = _CountedThread
+        with cls.lock:
+            cls.started += 1
+            cls.live += 1
+            cls.most = max(cls.most, cls.live)
+        try:
+            super().run()
+        finally:
+            with cls.lock:
+                cls.live -= 1
+
+
+@pytest.fixture
+def counted_threads(monkeypatch):
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    monkeypatch.setattr(_CountedThread, "most", 0)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    return _CountedThread
+
+
+def test_one_tile_rows_start_no_thread(counted_threads):
+    """Rows whose blocks hold one tile each make one oracle call per block
+    and start no thread, on every builder, once the seeded values they need
+    are drawn."""
+    for domain in (N, Z):
+        for name, build in _TILED_BUILDERS.items():
+            A = build(domain)
+            q = cn.NoiseQuery(3, 2, 1e-3 if name.endswith("gram") else 1e-10)
+            cn.noise_value(A, q)
+            before = threading.active_count()
+            counted_threads.started = 0
+            v = cn.noise_value(A, q)
+            assert v.cutoff <= noise._TILE_OFFSETS
+            assert counted_threads.started == 0, name
+            assert threading.active_count() == before
+
+
+def test_multi_tile_rows_run_on_at_most_cpus_minus_one_more_threads(monkeypatch,
+                                                                     counted_threads):
+    """On a machine of 4 CPUs, a gram row of many tiles, reaching past the
+    budget so its tiles draw blocks too, never runs more than 3 threads
+    beside the caller, and none is left when it returns."""
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(matrices.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(matrices, "_CACHE_BYTES", 1 << 20)
+    before = threading.active_count()
+    v = cn.noise_value(cn.seeded_gram(N, 8, seed=6), cn.NoiseQuery(2, 1, 1e-5))
+    assert v.cutoff > 4 * noise._TILE_OFFSETS
+    assert 0 < counted_threads.most <= 3
+    assert threading.active_count() == before
+    assert getattr(matrices._fanning, "role", None) is None
+
+
+def _vectors_bad_at(bad):
+    def vectors(idx):
+        v = _unit_vectors(idx)
+        v[np.asarray(idx) == bad] *= 2.0
+        return v
+    return vectors
+
+
+def test_an_error_in_a_middle_tile_reaches_the_caller(counted_threads):
+    """A vector of norm 2 in a middle tile of a row from a user's
+    gram_from_vectors callable is refused with the usual message; every
+    thread of the row has ended, and the next row is summed as usual."""
+    before = threading.active_count()
+    bad = 5 * noise._TILE_OFFSETS // 2
+    A = cn.gram_from_vectors(N, _vectors_bad_at(bad))
+    q = cn.NoiseQuery(0, 1, 1.5e-5)
+    assert cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q).cutoff > bad + \
+        noise._TILE_OFFSETS
+    with pytest.raises(UsageError, match=rf"^gram vector at index {bad} has norm .*, expected 1$"):
+        cn.noise_value(A, q)
+    assert threading.active_count() == before
+    assert getattr(matrices._fanning, "role", None) is None
+    good = cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q)
+    assert good.lower <= good.upper
