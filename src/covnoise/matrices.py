@@ -27,8 +27,8 @@ DEFAULT_WINDOW_CAP = 4096
 _BLOCK = 1024
 # Bytes of drawn blocks a seeded builder keeps: 512 blocks of C^8 vectors.
 _CACHE_BYTES = 64 << 20
-# Blocks drawn and finished together; one batch or fewer is drawn serially.
-_BATCH = 16
+# Blocks drawn and finished together: half a tile of a row sum, so a tile draws on two CPUs.
+_BATCH = 8
 # Rows per tile of the reductions over a dense block (hermitian_defect and
 # the covariant builders in observables), so no N x N temporary is formed.
 _TILE = 64
@@ -364,45 +364,6 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z + 1) // 2
 
 
-# role "caller" or "worker" of a thread in a fan-out, which runs nested ones serially
-_fanning = threading.local()
-
-
-def _fan_out(work: Callable[[int], None], items: range) -> None:
-    """work(item) for each item, in the calling thread and min(CPUs,
-    len(items)) - 1 workers, each claiming the next item when it is free;
-    the first error recorded is re-raised once every thread has ended."""
-    pending, lock = iter(items), threading.Lock()
-    errors: list[Exception] = []
-
-    def claim():
-        with lock:
-            return next(pending, None)
-
-    def run(role: str) -> None:
-        _fanning.role = role
-        try:
-            for item in iter(claim, None):
-                work(item)
-        except Exception as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    outer = getattr(_fanning, "role", None)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = [threading.Thread(target=run, args=("worker",))
-               for _ in range(0 if outer else min(cpus or 1, len(items)) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(outer or "caller")
-    finally:
-        _fanning.role = outer
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 class _BlockCache:
     """Deterministic per-index values in fixed blocks of _BLOCK indices.
 
@@ -417,8 +378,7 @@ class _BlockCache:
     order, each drawn once straight into a store that grows by doubling.
     Blocks past the budget are drawn for the fetch that needs them and
     then dropped.  The blocks one fetch needs are drawn in batches of
-    _BATCH blocks on every CPU.  take runs ensure under the lock, and draws
-    and gathers outside it; a worker of a fan-out never extends values.
+    _BATCH blocks on every CPU.
     """
 
     def __init__(self, seed: int, row: tuple[int, ...], dtype: type,
@@ -442,11 +402,40 @@ class _BlockCache:
             yield rng
 
     def _draw(self, blocks: np.ndarray, out: np.ndarray) -> None:
-        """Draw block blocks[i] into out[i * _BLOCK:(i + 1) * _BLOCK], in
-        batches of _BATCH blocks on every CPU; their draws release the GIL."""
-        _fan_out(lambda i: self.fill(self._streams(blocks[i:i + _BATCH]), blocks[i:i + _BATCH],
-                                     out[i * _BLOCK:(i + _BATCH) * _BLOCK]),
-                 range(0, len(blocks), _BATCH))
+        """Draw block blocks[i] into out[i * _BLOCK:(i + 1) * _BLOCK]: one
+        batch in the calling thread, more on every CPU."""
+        if len(blocks) <= _BATCH:
+            self.fill(self._streams(blocks), blocks, out)
+            return
+        batches = [slice(i, i + _BATCH) for i in range(0, len(blocks), _BATCH)]
+        pending, claim = iter(batches), threading.Lock()
+        errors: list[Exception] = []
+
+        def run() -> None:
+            # each thread claims the next batch when it is free, so a thread
+            # that gets less CPU time draws fewer batches
+            try:
+                while True:
+                    with claim:
+                        s = next(pending, None)
+                    if s is None:
+                        return
+                    self.fill(self._streams(blocks[s]), blocks[s],
+                              out[s.start * _BLOCK:s.stop * _BLOCK])
+            except Exception as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+        # batches are independent and their draws release the GIL
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        threads = [threading.Thread(target=run)
+                   for _ in range(min(cpus or 1, len(batches)) - 1)]
+        for thread in threads:
+            thread.start()
+        run()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
 
     def ensure(self, size: int) -> None:
         """Draw the blocks below index size, up to the budget, not yet in values."""
@@ -464,26 +453,24 @@ class _BlockCache:
         """The values at the zigzag indices zz, of shape zz.shape + row."""
         with self.lock:
             top = int(zz.max(initial=-1))
-            worker = getattr(_fanning, "role", None) == "worker"
-            stop = len(self.values) // _BLOCK if worker else self.limit
-            if top < stop * _BLOCK:
+            if top < self.limit * _BLOCK:
                 self.ensure(top + 1)
-                values = self.values
-            else:
-                blocks, slot = np.unique(zz // _BLOCK, return_inverse=True)
-                kept = int(np.searchsorted(blocks, stop))  # blocks is sorted
-                self.ensure(int(blocks[kept - 1] + 1) * _BLOCK if kept else 0)
-                values, far = self.values, blocks[kept:]
-        # rows below len(values) are never rewritten; a regrow copies into a new store
-        if top < stop * _BLOCK:
-            return values[zz]
-        drawn = np.empty((far.size * _BLOCK, *values.shape[1:]), values.dtype)
-        self._draw(far, drawn)
-        pos = (slot.reshape(zz.shape) - kept) * _BLOCK + zz % _BLOCK
-        # an array also for a scalar index; kept blocks have pos < 0
-        out, near = drawn[np.maximum(pos, 0), ...], pos < 0
-        out[near] = values[zz[near]]
-        return out
+                return self.values[zz]
+            blocks, slot = np.unique(zz // _BLOCK, return_inverse=True)
+            slot = slot.reshape(zz.shape)
+            kept = int(np.searchsorted(blocks, self.limit))  # blocks is sorted
+            self.ensure(int(blocks[kept - 1] + 1) * _BLOCK if kept else 0)
+            rows = self.values.shape[1:]
+            drawn = np.empty(((blocks.size - kept) * _BLOCK, *rows), self.values.dtype)
+            self._draw(blocks[kept:], drawn)
+            pos = (slot - kept) * _BLOCK + zz % _BLOCK
+            if not kept:
+                return drawn[pos]
+            near = slot < kept
+            out = np.empty(zz.shape + rows, self.values.dtype)
+            out[near] = self.values[zz[near]]
+            out[~near] = drawn[pos[~near]]
+            return out
 
 
 def seeded_torus(domain: IndexDomain, seed: int = 0) -> StructureMatrix:

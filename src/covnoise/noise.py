@@ -26,8 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .matrices import (IndexDomain, IndexWindow, ChessboardParams, Orientation, StructureMatrix,
-                       _fan_out)
+from .matrices import IndexDomain, IndexWindow, ChessboardParams, Orientation, StructureMatrix
 
 _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
@@ -264,12 +263,12 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
     over j = 1..down.
 
-    Offsets are evaluated outward in blocks of _CHUNK a side, each in tiles
-    of _TILE_OFFSETS a side, both sides of a tile in one oracle call, so
-    sides that share per-index data (on the integers, seeded values drawn
-    in blocks of zigzag indices) fetch it once.  The far tile goes first,
-    in this thread, so its fetch draws the cached values the block needs;
-    the rest fan out over every CPU.  Each side of a block is summed by
+    Offsets are evaluated outward in blocks of _CHUNK a side, each filled
+    in tiles of _TILE_OFFSETS a side from its far end inward, both sides of
+    a tile in one oracle call: sides that share per-index data (on the
+    integers, seeded values drawn in blocks of zigzag indices) fetch it
+    once, and a block whose far end holds its largest index draws all its
+    cached values in its first fetch.  Each side of a block is summed by
     numpy and the sums are combined with exact compensated addition, so
     the result does not depend on the tiles or on how far the row reaches.
     """
@@ -287,17 +286,13 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
             got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
             return [got[:u.size]**l * inv[a:a + u.size], got[u.size:]**l * inv[a:a + d.size]]
 
-        def put(a: int) -> None:
-            for side, part in zip(sides, terms(a)):
-                side[a:a + part.size] = part
-
         if js.size <= _TILE_OFFSETS:
             sides = terms(0)
         else:
-            tiles = range(0, js.size, _TILE_OFFSETS)
             sides = [np.empty(min(end, js.size)) for end in ends]
-            put(tiles[-1])
-            _fan_out(put, tiles[:-1])
+            for a in reversed(range(0, js.size, _TILE_OFFSETS)):
+                for side, part in zip(sides, terms(a)):
+                    side[a:a + part.size] = part
         pieces += [float(np.sum(side)) for side in sides if side.size]
     return math.fsum(pieces)
 

@@ -2,7 +2,6 @@ import hashlib
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -552,36 +551,6 @@ def test_concurrent_fetches_get_the_serial_values():
     assert not any(thread.is_alive() for thread in threads)
     for g, w in zip(got, want):
         assert g is not None and np.array_equal(_bits(g), _bits(w))
-
-
-def test_fan_out_reraises_the_first_error_recorded(monkeypatch):
-    """Of several items that raise, the error of the one that raised first
-    reaches the caller, with its type and message, once every thread has
-    ended; items claimed after it still run in the other threads, and a
-    fan-out on one CPU stops at its first error."""
-    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    ran = []
-
-    def work(i):
-        if i == 4:  # raises once every other item has run
-            deadline = time.monotonic() + 10
-            while len(ran) < 6 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            raise KeyError(i)
-        if i == 1:
-            raise ValueError(f"item {i}")
-        ran.append(i)
-
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="^item 1$"):
-        matrices._fan_out(work, range(8))
-    assert threading.active_count() == before
-    assert sorted(ran) == [0, 2, 3, 5, 6, 7]
-    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    ran.clear()
-    with pytest.raises(ValueError, match="^item 1$"):
-        matrices._fan_out(work, range(8))
-    assert ran == [0]
 
 
 def test_seeded_gram_checks_each_vector_once_when_drawn(monkeypatch):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import sys
 import threading
 
 import numpy as np
@@ -495,8 +494,8 @@ def _tiled_results(A, domain, reach, tol):
 @pytest.mark.parametrize("domain", [N, Z])
 def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, tile, chunk, reach,
                                                             tol, budget, domain):
-    """Filling each side of a block in tiles of any size, the far tile first
-    and the rest fanned out, gives the bits of one oracle call per block:
+    """Filling each side of a block in tiles of any size, from the far tile
+    inward, gives the bits of one oracle call per block:
     rows spanning several blocks, n = 0 and n inside the first tile, up !=
     down, on every builder, and past a cache budget of 128 KiB."""
     if tile is not None:
@@ -511,27 +510,6 @@ def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, tile, c
             mp.setattr(observables, "_head_sum", _one_call_per_chunk_head_sum)
             reference = _tiled_results(build(domain), domain, reach, tol)
         assert tiled == reference, name
-
-
-def test_tiled_rows_keep_their_bits_under_a_short_switch_interval(monkeypatch):
-    """With six CPUs and a 1 us switch interval, the tiles of gram rows
-    whose cache budget ends inside a block run on several threads, so the
-    caller may extend the store while workers read it and draw past it: the
-    bits stay those of one oracle call per block."""
-    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-    monkeypatch.setattr(matrices, "_CACHE_BYTES", 3 << 20)
-    queries = [(N, cn.NoiseQuery(2, 1, 2e-5)), (Z, cn.NoiseQuery(-9, 2, 4e-5))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        tiled = [noise.noise_value(cn.seeded_gram(d, 8, seed=7), q) for d, q in queries]
-    finally:
-        sys.setswitchinterval(interval)
-    monkeypatch.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
-    reference = [noise.noise_value(cn.seeded_gram(d, 8, seed=7), q) for d, q in queries]
-    assert all(v.cutoff > 3 * noise._TILE_OFFSETS for v in tiled)
-    assert [(v.lower.hex(), v.upper.hex()) for v in tiled] == \
-        [(v.lower.hex(), v.upper.hex()) for v in reference]
 
 
 def _drawn_blocks(monkeypatch):
@@ -551,7 +529,8 @@ def test_rows_inside_the_budget_draw_each_block_once(monkeypatch):
     """A gram row on Z that spans several tiles of one block draws every
     Philox block below its top zigzag index exactly once: the block of the
     row's own vector when the oracle fetches it, and every other block in
-    one call made by the far tile.  The row again draws nothing."""
+    one call made by the far tile, which goes first.  The row again draws
+    nothing."""
     calls = _drawn_blocks(monkeypatch)
     A = cn.seeded_gram(Z, 8, seed=4)
     v = cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-4))
@@ -643,21 +622,23 @@ def test_one_tile_rows_start_no_thread(counted_threads):
 def test_multi_tile_rows_run_on_at_most_cpus_minus_one_more_threads(monkeypatch,
                                                                      counted_threads):
     """On a machine of 4 CPUs, a gram row of many tiles, reaching past the
-    budget so its tiles draw blocks too, never runs more than 3 threads
-    beside the caller, and none is left when it returns."""
+    budget so its tiles draw blocks too, runs its tiles in the calling
+    thread: only the batches of Philox draws run on threads, never more
+    than 3 beside the caller, and none is left when it returns."""
     monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(matrices.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(matrices, "_CACHE_BYTES", 1 << 20)
+    monkeypatch.setattr(matrices, "_CACHE_BYTES", 8 << 20)
     before = threading.active_count()
     v = cn.noise_value(cn.seeded_gram(N, 8, seed=6), cn.NoiseQuery(2, 1, 1e-5))
     assert v.cutoff > 4 * noise._TILE_OFFSETS
     assert 0 < counted_threads.most <= 3
     assert threading.active_count() == before
-    assert getattr(matrices._fanning, "role", None) is None
 
 
-def _vectors_bad_at(bad):
+def _vectors_bad_at(bad, callers=None):
     def vectors(idx):
+        if callers is not None:
+            callers.add(threading.get_ident())
         v = _unit_vectors(idx)
         v[np.asarray(idx) == bad] *= 2.0
         return v
@@ -666,17 +647,19 @@ def _vectors_bad_at(bad):
 
 def test_an_error_in_a_middle_tile_reaches_the_caller(counted_threads):
     """A vector of norm 2 in a middle tile of a row from a user's
-    gram_from_vectors callable is refused with the usual message; every
-    thread of the row has ended, and the next row is summed as usual."""
+    gram_from_vectors callable is refused with the usual message; the
+    callable only ever ran in the calling thread, no thread of the row is
+    left, and the next row is summed as usual."""
     before = threading.active_count()
     bad = 5 * noise._TILE_OFFSETS // 2
-    A = cn.gram_from_vectors(N, _vectors_bad_at(bad))
+    callers = set()
+    A = cn.gram_from_vectors(N, _vectors_bad_at(bad, callers))
     q = cn.NoiseQuery(0, 1, 1.5e-5)
     assert cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q).cutoff > bad + \
         noise._TILE_OFFSETS
     with pytest.raises(UsageError, match=rf"^gram vector at index {bad} has norm .*, expected 1$"):
         cn.noise_value(A, q)
+    assert callers == {threading.get_ident()}
     assert threading.active_count() == before
-    assert getattr(matrices._fanning, "role", None) is None
     good = cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q)
     assert good.lower <= good.upper
