@@ -367,21 +367,18 @@ def cmd_noise_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
 
 def cmd_asymptotic(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
-    for l in args.l:  # every order is checked before the first sample is summed
+    for l in args.l:  # the orders and the horizon are checked before the first sample is summed
         _validate_order(l)
+    if not 16 <= args.horizon < 2**61:
+        raise UsageError(f"--horizon must be in [16, 2^61), got {args.horizon}")
     records = []
-    rows = []
     for l in args.l:
         est = asymptotic_noise_estimate(A, l, tol=args.tol, horizon=args.horizon)
-        records.append({
-            "l": l,
-            "classification": est.classification.value,
-            "estimate": est.estimate,
-            "samples": [{"n": n, "value": s.value, "lower": s.lower,
-                         "upper": s.upper, "cutoff": s.cutoff}
-                        for n, s in zip(est.sample_points, est.samples)],
-        })
-        rows.append((l, est.classification.value, est.estimate))
+        samples = [{"n": n, "value": s.value, "lower": s.lower, "upper": s.upper,
+                    "cutoff": s.cutoff} for n, s in zip(est.sample_points, est.samples)]
+        records.append({"l": l, "classification": est.classification.value,
+                        "estimate": est.estimate, "samples": samples})
+    rows = [(r["l"], r["classification"], r["estimate"]) for r in records]
     header = ("l", "classification", "estimate")
     return [_report_text(header, rows, args.format, records)], 0
 

@@ -13,9 +13,13 @@ class UsageError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size or iteration budget.
 
-    Carries enough context in the message to rerun with a feasible budget
-    (for summations, the achievable tolerance at the cap).
+    Carries enough context in the message to rerun with a feasible budget;
+    for summations, achievable is the smallest tolerance within reach.
     """
+
+    def __init__(self, message: str, achievable: float | None = None):
+        super().__init__(message)
+        self.achievable = achievable
 
 
 class ContractViolationError(RuntimeError):

@@ -27,7 +27,7 @@ DEFAULT_WINDOW_CAP = 4096
 _BLOCK = 1024
 # Bytes of drawn blocks a seeded builder keeps: 512 blocks of C^8 vectors.
 _CACHE_BYTES = 64 << 20
-# Blocks drawn and finished together: half a tile of a row sum, so a tile draws on two CPUs.
+# Blocks drawn and finished together: half a block of a row sum, so a block draws on two CPUs.
 _BATCH = 8
 # Rows per tile of the reductions over a dense block (hermitian_defect and
 # the covariant builders in observables), so no N x N temporary is formed.

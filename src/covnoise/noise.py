@@ -32,10 +32,8 @@ _REF_BASE = math.pi / math.sqrt(3.0)
 DEFAULT_TERM_CAP = 10**8
 # pi^(l-2) in the closed forms overflows a double from l = 623 on
 MAX_ORDER = 622
-# offsets per side in one block of a row sum: 2^18 values, 32 MiB of C^8 vectors
-_CHUNK = 1 << 17
-# offsets per side in one tile of a block: 2^14 zigzag indices, 16 Philox blocks
-_TILE_OFFSETS = 1 << 13
+# offsets per side in one block of a row sum: 2^14 zigzag indices, 16 Philox blocks
+_CHUNK = 1 << 13
 _UNIT = 2.0**-53
 # above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
 _LATTICE_BOUND = 3.3
@@ -243,8 +241,8 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
             nxt = plan(_first(k, 2 * k, lambda j: plan(j).terms > cap) - 1)
             if nxt.width > q.tol:
                 raise ResourceLimitError(
-                    f"tolerance {q.tol:g} needs more than {cap} terms; the smallest "
-                    f"achievable tolerance within the term cap is {_round_up(nxt.width)}")
+                    f"tolerance {q.tol:g} needs more than {cap} terms; the smallest achievable "
+                    f"tolerance within the term cap is {_round_up(nxt.width)}", nxt.width)
         elif nxt.width >= cur.width:
             # the narrowest plan lies in (lo, 2k]; this happens only near the floor
             nxt = min((plan(j) for j in range(lo + 1, 2 * k + 1)), key=lambda pl: pl.width)
@@ -252,7 +250,7 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
                 raise ResourceLimitError(
                     f"tolerance {q.tol:g} is below the rounding floor of this query; the "
                     f"smallest achievable tolerance is {_round_up(nxt.width)} "
-                    f"(cutoff {nxt.up})")
+                    f"(cutoff {nxt.up})", nxt.width)
             cur = nxt
             break
         lo, cur = k, nxt
@@ -263,37 +261,25 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
     over j = 1..down.
 
-    Offsets are evaluated outward in blocks of _CHUNK a side, each filled
-    in tiles of _TILE_OFFSETS a side from its far end inward, both sides of
-    a tile in one oracle call: sides that share per-index data (on the
-    integers, seeded values drawn in blocks of zigzag indices) fetch it
-    once, and a block whose far end holds its largest index draws all its
-    cached values in its first fetch.  Each side of a block is summed by
-    numpy and the sums are combined with exact compensated addition, so
-    the result does not depend on the tiles or on how far the row reaches.
+    Offsets are taken in blocks of _CHUNK a side from the far end of the
+    row inward, both sides of a block in one oracle call: sides that share
+    per-index data (on the integers, seeded values drawn in blocks of
+    zigzag indices) fetch it once, and the first fetch that reaches the
+    cached indices draws every cached value the row needs.  Each side of a
+    block is summed by numpy and the sums are combined with exact
+    compensated addition, so the result does not depend on the order of
+    the blocks.
     """
 
     pieces: list[float] = []
     reach = max(up, down)
-    for start in range(1, reach + 1, _CHUNK):
+    for start in reversed(range(1, reach + 1, _CHUNK)):
         js = np.arange(start, min(start + _CHUNK, reach + 1))
+        u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
+        got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
         inv = 1.0 / (js.astype(float) ** 2)
-        ends = max(up - start + 1, 0), max(down - start + 1, 0)
-
-        def terms(a: int) -> list[np.ndarray]:
-            b = a + _TILE_OFFSETS
-            u, d = js[a:min(b, ends[0])], js[a:min(b, ends[1])]
-            got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
-            return [got[:u.size]**l * inv[a:a + u.size], got[u.size:]**l * inv[a:a + d.size]]
-
-        if js.size <= _TILE_OFFSETS:
-            sides = terms(0)
-        else:
-            sides = [np.empty(min(end, js.size)) for end in ends]
-            for a in reversed(range(0, js.size, _TILE_OFFSETS)):
-                for side, part in zip(sides, terms(a)):
-                    side[a:a + part.size] = part
-        pieces += [float(np.sum(side)) for side in sides if side.size]
+        pieces += [float(np.sum(m**l * inv[:m.size]))
+                   for m in (got[:u.size], got[u.size:]) if m.size]
     return math.fsum(pieces)
 
 
@@ -356,26 +342,38 @@ def asymptotic_noise_estimate(A: StructureMatrix, l: int, tol: float = 1e-3,
                               horizon: int = 4096) -> AsymptoticEstimate:
     """Heuristic large-n classification of the noise sequence.
 
-    Samples s_n(l) at n = horizon/4, horizon/2, horizon (brackets computed
-    at tol/10 so their width does not swamp the thresholds).  Noiseless
-    needs every upper endpoint under tol plus the analytic decay allowance
-    c(l) * 2/horizon; a positive limit needs all lower endpoints above
-    2*tol with the three values within 10*tol of each other.  This is a
-    numerical heuristic, never a proof.
+    Samples s_n(l) at n = horizon/4, horizon/2, horizon, bracketed at tol/10
+    so their width does not swamp the thresholds; a tol whose samples are
+    out of reach is refused, before any is summed, with the smallest tol
+    they all reach.  A row of moduli 1 on the naturals has s_n(l) =
+    c(l) * zeta(2, n + 1) < c(l)/n, so sample n gets the decay allowance
+    c(l)/n: noiseless needs every upper end under tol plus its allowance; a
+    positive limit needs all lower ends above 2*tol and the values within
+    10*tol + c(l)/n_1 of each other.  A numerical heuristic, never a proof.
     """
 
     _validate_order(l)
-    if horizon < 16:
-        raise UsageError(f"horizon must be >= 16, got {horizon}")
+    if not 16 <= horizon < 2**61:
+        raise UsageError(f"horizon must be in [16, 2^61), got {horizon}")
     if not tol > 0.0:
         raise UsageError(f"tolerance must be positive, got {tol}")
     points = tuple(sorted({horizon // 4, horizon // 2, horizon}))
+    floor = tol / 10.0
+    for p in points:
+        try:
+            _select_plan(A, NoiseQuery(p, l, floor))
+        except ResourceLimitError as exc:
+            floor = exc.achievable
+    if floor > tol / 10.0:
+        raise ResourceLimitError(
+            f"tolerance {tol:g} is out of reach for samples bracketed at tol/10; the smallest "
+            f"achievable tolerance is {_round_up(10.0 * floor)}", 10.0 * floor)
     samples = tuple(noise_value(A, NoiseQuery(p, l, tol / 10.0)) for p in points)
-    allowance = _tail_coefficient(l) * 2.0 / horizon
-    values = [s.value for s in samples]
-    if max(s.upper for s in samples) < tol + allowance:
+    coeff, values = _tail_coefficient(l), [s.value for s in samples]
+    if all(s.upper < tol + coeff / p for p, s in zip(points, samples)):
         cls = NoiseClassification.ASYMPTOTICALLY_NOISELESS
-    elif min(s.lower for s in samples) > 2.0 * tol and max(values) - min(values) < 10.0 * tol:
+    elif (min(s.lower for s in samples) > 2.0 * tol
+          and max(values) - min(values) < 10.0 * tol + coeff / points[0]):
         cls = NoiseClassification.POSITIVE_LIMIT
     else:
         cls = NoiseClassification.UNDETERMINED

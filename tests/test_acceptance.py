@@ -412,11 +412,11 @@ def test_dense_norm_wall_clock(tmp_path):
 def test_gram_row_wall_clock(tmp_path):
     """noise-table on a seeded gram row on Z at tol 4e-6 (l = 1: 539
     blocks of 1024 Philox-drawn vectors in C^8, 27 of them past the cache
-    budget) stays inside its budget.  With the row's offsets in tiles, all
-    in the calling thread and the far tile of each block first, the best
-    of three takes about 0.18 to 0.20 s, once 0.28 s on a busy machine;
-    one oracle call per 2^17 offsets took 0.21 to 0.26 s in the same
-    alternating runs, and blocks drawn one at a time into a cache
+    budget) stays inside its budget.  With the row's offsets in blocks of
+    2^13, far block first, all in the calling thread, the best of three
+    takes about 0.19 to 0.21 s; tiles of 2^13 inside blocks of 2^17 took
+    0.20 to 0.28 s in the same alternating runs, one oracle call per 2^17
+    offsets 0.21 to 0.26 s, and blocks drawn one at a time into a cache
     re-concatenated on each growth, with every fetched vector norm-checked
     again, took 0.36 to 0.60 s (2-CPU machine).  One untimed small row
     first loads numpy.random; the best of three runs is timed."""

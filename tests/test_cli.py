@@ -292,8 +292,8 @@ def test_gram_row_memory_does_not_grow_with_the_tolerance():
             "--n", "0", "--l", "1", "--tol", "3e-7"]
     proc = _run_capped(argv, 1 << 30)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560182581,"
-                           "1.3547076060182623,1.3547079060182536,3676822\n")
+    assert proc.stdout == ("n,l,value,lower,upper,cutoff\n0,1,1.3547077560003489,"
+                           "1.3547076060003524,1.3547079060003451,3675607\n")
 
 
 def test_covariance_at_the_window_cap_fits_in_1_gib():
@@ -590,6 +590,27 @@ def test_below_floor_tolerance_exits_3_and_names_the_floor(capsys):
     assert code == 0 and err == ""
     row = out.strip().split("\n")[1].split(",")
     assert float(row[4]) - float(row[3]) <= float(floor)
+
+
+def test_asymptotic_below_floor_names_a_tolerance_that_works(capsys):
+    """asymptotic brackets its samples at tol/10, so the tolerance its
+    refusal names, passed back as --tol, runs."""
+    code, out, err = run_cli(capsys, "asymptotic", "--tol", "1e-14")
+    assert code == 3 and out == ""
+    floor = re.search(r"smallest achievable tolerance is (\S+)\n$", err).group(1)
+    code, out, err = run_cli(capsys, "asymptotic", "--tol", floor)
+    assert code == 0 and err == "" and out.startswith("l,classification,estimate\n2,")
+
+
+def test_asymptotic_refuses_a_horizon_past_the_indices_before_summing(capsys, monkeypatch):
+    """A horizon of 2^61 or more exits 2 naming --horizon before any sample
+    is summed, whatever order comes first."""
+    monkeypatch.setattr(cli, "asymptotic_noise_estimate",
+                        lambda *args, **kw: pytest.fail("a sample was summed"))
+    for horizon in ("8", str(2**61), str(2**62)):
+        code, out, err = run_cli(capsys, "asymptotic", "--l", "1,2", "--horizon", horizon)
+        assert (code, out) == (2, "")
+        assert err == f"error: --horizon must be in [16, 2^61), got {horizon}\n"
 
 
 @pytest.mark.parametrize("spec", [

@@ -415,11 +415,48 @@ def test_asymptotic_classifications():
         cn.chessboard(N, cn.ChessboardParams(0.5)), 2)
     assert positive.classification is cn.NoiseClassification.POSITIVE_LIMIT
     assert positive.estimate == pytest.approx(0.75 * math.pi**2 / 4.0, abs=2e-3)
-    # a short horizon leaves the constant-one decay unresolved
-    murky = cn.asymptotic_noise_estimate(cn.constant_one(N), 2, horizon=16)
+    # a limit between tol and 2 tol is neither under tol nor clearly above it
+    xi = math.sqrt(1.0 - 6e-3 / math.pi**2)  # s_n(2) = (1 - xi^2) pi^2/4 = 1.5e-3 on Z
+    murky = cn.asymptotic_noise_estimate(cn.chessboard(Z, cn.ChessboardParams(xi)), 2)
     assert murky.classification is cn.NoiseClassification.UNDETERMINED
-    with pytest.raises(UsageError):
-        cn.asymptotic_noise_estimate(cn.constant_one(N), 2, horizon=8)
+    assert all(1e-3 < s.lower <= s.upper < 2e-3 for s in murky.samples)
+    for horizon in (8, 2**61):
+        with pytest.raises(UsageError, match=r"horizon must be in \[16, 2\^61\)"):
+            cn.asymptotic_noise_estimate(cn.constant_one(N), 2, horizon=horizon)
+
+
+_LINEAR_TORUS = {"kind": "torus", "domain": "N", "phases": {"formula": "linear", "slope": 0.4}}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8])
+def test_asymptotic_labels_at_every_order(l):
+    """With default settings, constant one and a linear torus on N, whose
+    s_n(l) = c(l) zeta(2, n + 1) lies just under c(l)/n, are asymptotically
+    noiseless; the chessboard with xi = 0.5 on N and on Z has a positive
+    limit."""
+    for A in (cn.constant_one(N), cn.matrix_from_spec(_LINEAR_TORUS)):
+        est = cn.asymptotic_noise_estimate(A, l)
+        assert est.classification is cn.NoiseClassification.ASYMPTOTICALLY_NOISELESS, A.label
+    for domain in (N, Z):
+        est = cn.asymptotic_noise_estimate(cn.chessboard(domain, cn.ChessboardParams(0.5)), l)
+        assert est.classification is cn.NoiseClassification.POSITIVE_LIMIT, domain
+
+
+def test_asymptotic_refuses_a_tolerance_its_samples_cannot_reach_before_summing(monkeypatch):
+    """Samples are bracketed at tol/10, so a tolerance below ten times a
+    sample's rounding floor is refused with that bound, rounded up, before
+    any sample is summed; the bound it names is reached."""
+    summed = []
+    real = noise._head_sum
+    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    with pytest.raises(ResourceLimitError, match="tolerance 1e-14 .* tol/10") as info:
+        cn.asymptotic_noise_estimate(cn.constant_one(N), 2, tol=1e-14)
+    assert summed == []
+    reachable = float(re.search(r"smallest achievable tolerance is (\S+)$",
+                                str(info.value)).group(1))
+    assert reachable == pytest.approx(info.value.achievable, rel=1e-2)
+    est = cn.asymptotic_noise_estimate(cn.constant_one(N), 2, tol=reachable)
+    assert all(s.width <= reachable / 10.0 for s in est.samples)
 
 
 def test_asymptotic_estimate_reports_samples():
@@ -429,10 +466,13 @@ def test_asymptotic_estimate_reports_samples():
     assert est.estimate == est.samples[-1].value
 
 
+# In the test names below, a tile is one block of noise._CHUNK offsets a side.
+
+
 def _one_call_per_chunk_head_sum(A, n, l, up, down):
-    """The row head summed with one oracle call per block of _CHUNK offsets
-    a side and each side of a block summed by np.sum: the bits every tiling
-    of the blocks must reproduce."""
+    """The row head summed outward, near block first, with one oracle call
+    per block of _CHUNK offsets a side and each side of a block summed by
+    np.sum: the bits the far-first row sum must reproduce."""
     pieces = []
     reach = max(up, down)
     for start in range(1, reach + 1, noise._CHUNK):
@@ -452,7 +492,7 @@ def _unit_vectors(idx):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-_TILED_BUILDERS = {
+_BUILDERS = {
     "constant_one": cn.constant_one,
     "chessboard": lambda d: cn.chessboard(d, cn.ChessboardParams(0.3)),
     "linear_torus": lambda d: cn.matrix_from_spec(
@@ -463,12 +503,12 @@ _TILED_BUILDERS = {
 }
 
 
-def _tiled_results(A, domain, reach, tol):
+def _row_results(A, domain, reach, tol):
     """Head sums, moment and noise ends and windowed noise diagonals of A,
-    as float.hex: at n = 0 and at n inside the first tile, with up != down.
+    as float.hex: at n = 0 and at n inside the first block, with up != down.
     The brackets use A without its profile, so their heads are long."""
     bare = dataclasses.replace(A, profile=None)
-    inside = 1 + min(noise._TILE_OFFSETS, reach) // 2
+    inside = 1 + min(noise._CHUNK, reach) // 2
     rows = [(0, reach, 0 if domain is N else reach // 3 + 1), (inside, reach, inside)]
     if domain is Z:
         rows.append((-inside, reach // 2, reach))
@@ -484,32 +524,31 @@ def _tiled_results(A, domain, reach, tol):
     return out
 
 
-@pytest.mark.parametrize("tile, chunk, reach, tol, budget", [
-    (1, 64, 150, 2e-2, None),
-    (3, 100, 400, 1e-2, None),
-    (1000, 2500, 7000, 1e-3, None),
-    (None, 3 * 8192 + 5, 60000, 1e-4, None),
-    (None, 3 * 8192 + 5, 60000, 1e-4, 1 << 17),
+@pytest.mark.parametrize("chunk, reach, tol, budget", [
+    (1, 150, 2e-2, None),
+    (3, 400, 1e-2, None),
+    (1000, 7000, 1e-3, None),
+    (None, 60000, 1e-4, None),
+    (None, 60000, 1e-4, 1 << 17),
 ], ids=["tile1", "tile3", "tile1000", "default", "default-past-budget"])
 @pytest.mark.parametrize("domain", [N, Z])
-def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, tile, chunk, reach,
-                                                            tol, budget, domain):
-    """Filling each side of a block in tiles of any size, from the far tile
-    inward, gives the bits of one oracle call per block:
-    rows spanning several blocks, n = 0 and n inside the first tile, up !=
-    down, on every builder, and past a cache budget of 128 KiB."""
-    if tile is not None:
-        monkeypatch.setattr(noise, "_TILE_OFFSETS", tile)
-    monkeypatch.setattr(noise, "_CHUNK", chunk)
+def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, chunk, reach, tol,
+                                                            budget, domain):
+    """Summing a row's blocks of 1, 3, 1000 or 2^13 offsets from the far
+    end inward gives the bits of summing them outward: rows spanning
+    several blocks, n = 0 and n inside the first block, up != down, on
+    every builder, and past a cache budget of 128 KiB."""
+    if chunk is not None:
+        monkeypatch.setattr(noise, "_CHUNK", chunk)
     if budget is not None:
         monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
-    for name, build in _TILED_BUILDERS.items():
-        tiled = _tiled_results(build(domain), domain, reach, tol)
+    for name, build in _BUILDERS.items():
+        far_first = _row_results(build(domain), domain, reach, tol)
         with monkeypatch.context() as mp:
             mp.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
             mp.setattr(observables, "_head_sum", _one_call_per_chunk_head_sum)
-            reference = _tiled_results(build(domain), domain, reach, tol)
-        assert tiled == reference, name
+            outward = _row_results(build(domain), domain, reach, tol)
+        assert far_first == outward, name
 
 
 def _drawn_blocks(monkeypatch):
@@ -526,53 +565,48 @@ def _drawn_blocks(monkeypatch):
 
 
 def test_rows_inside_the_budget_draw_each_block_once(monkeypatch):
-    """A gram row on Z that spans several tiles of one block draws every
-    Philox block below its top zigzag index exactly once: the block of the
-    row's own vector when the oracle fetches it, and every other block in
-    one call made by the far tile, which goes first.  The row again draws
-    nothing."""
+    """A gram row on Z that spans several blocks of offsets inside the
+    budget draws every Philox block below its top zigzag index exactly
+    once: the block of the row's own vector when the oracle fetches it,
+    and every other block in one call made by the far block of offsets,
+    which goes first.  The row again draws nothing."""
     calls = _drawn_blocks(monkeypatch)
     A = cn.seeded_gram(Z, 8, seed=4)
-    v = cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-4))
-    assert noise._TILE_OFFSETS < v.cutoff <= noise._CHUNK
+    v = cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-5))
     top = 2 * v.cutoff  # the zigzag index of n + cutoff at n = 0
+    assert 4 * noise._CHUNK < v.cutoff and top < matrices._CACHE_BYTES // 128
     assert [c.tolist() for c in calls] == [[0], list(range(1, top // matrices._BLOCK + 1))]
-    assert cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-4)) == v
+    assert cn.noise_value(A, cn.NoiseQuery(0, 1, 1e-5)) == v
     assert len(calls) == 2
 
 
-def _tile_boundaries_past(reach, first):
-    """Tile boundaries of a row on Z at n = 0 whose offsets lie past zigzag
-    index first."""
-    return sum(1 for start in range(1, reach + 1, noise._CHUNK)
-               for a in range(start + noise._TILE_OFFSETS, min(start + noise._CHUNK, reach + 1),
-                              noise._TILE_OFFSETS)
-               if 2 * a - 1 >= first)
+def _block_boundaries_past(reach, first):
+    """Boundaries between blocks of offsets of a row on Z at n = 0 whose
+    shared Philox block lies past zigzag index first."""
+    return sum(1 for a in range(1 + noise._CHUNK, reach + 1, noise._CHUNK) if 2 * a - 2 >= first)
 
 
 @pytest.mark.parametrize("budget, tol, pinned", [(None, 4e-6, 541), (1 << 20, 1e-4, None)])
 def test_rows_past_the_budget_draw_one_extra_block_per_tile_boundary(monkeypatch, budget, tol,
                                                                      pinned):
-    """Past the budget each tile draws the blocks it needs, so a block that
-    two tiles share is drawn by both: at most one more block per tile
-    boundary past the budget than one oracle call per block of _CHUNK
-    offsets draws.  The gate row (gram on Z, n = 0, l = 1, tol 4e-6) draws
-    541 blocks, 540 with one call per block."""
+    """Past the budget each block of offsets draws the Philox blocks it
+    needs, so a Philox block that two blocks of offsets share is drawn by
+    both: a row draws every Philox block up to its top zigzag index once,
+    plus one per boundary past the budget.  The gate row (gram on Z, n = 0,
+    l = 1, tol 4e-6) draws 541 blocks in 5 calls: its own vector's block,
+    the two far blocks of offsets past the budget, then the first fetch
+    that reaches into the budget draws the 511 cached blocks in one call
+    and the one block it needs past it."""
     if budget is not None:
         monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
     calls = _drawn_blocks(monkeypatch)
-    q = cn.NoiseQuery(0, 1, tol)
-    v = cn.noise_value(cn.seeded_gram(Z, 8, seed=1), q)
-    tiled = sum(map(len, calls))
-    calls.clear()
-    monkeypatch.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
-    assert cn.noise_value(cn.seeded_gram(Z, 8, seed=1), q) == v
-    per_chunk = sum(map(len, calls))
+    v = cn.noise_value(cn.seeded_gram(Z, 8, seed=1), cn.NoiseQuery(0, 1, tol))
+    drawn = sum(map(len, calls))
     limit = matrices._CACHE_BYTES // (matrices._BLOCK * 128)
-    extra = _tile_boundaries_past(v.cutoff, limit * matrices._BLOCK)
-    assert extra > 0 and per_chunk <= tiled <= per_chunk + extra
+    extra = _block_boundaries_past(v.cutoff, limit * matrices._BLOCK)
+    assert extra > 0 and drawn == 2 * v.cutoff // matrices._BLOCK + 1 + extra
     if pinned is not None:
-        assert (tiled, per_chunk) == (pinned, pinned - 1)
+        assert (drawn, [len(c) for c in calls]) == (pinned, [1, 11, 17, 511, 1])
 
 
 class _CountedThread(threading.Thread):
@@ -603,34 +637,35 @@ def counted_threads(monkeypatch):
 
 
 def test_one_tile_rows_start_no_thread(counted_threads):
-    """Rows whose blocks hold one tile each make one oracle call per block
-    and start no thread, on every builder, once the seeded values they need
-    are drawn."""
+    """Rows of one block of offsets make one oracle call and start no
+    thread, on every builder, once the seeded values they need are
+    drawn."""
     for domain in (N, Z):
-        for name, build in _TILED_BUILDERS.items():
+        for name, build in _BUILDERS.items():
             A = build(domain)
             q = cn.NoiseQuery(3, 2, 1e-3 if name.endswith("gram") else 1e-10)
             cn.noise_value(A, q)
             before = threading.active_count()
             counted_threads.started = 0
             v = cn.noise_value(A, q)
-            assert v.cutoff <= noise._TILE_OFFSETS
+            assert v.cutoff <= noise._CHUNK
             assert counted_threads.started == 0, name
             assert threading.active_count() == before
 
 
 def test_multi_tile_rows_run_on_at_most_cpus_minus_one_more_threads(monkeypatch,
                                                                      counted_threads):
-    """On a machine of 4 CPUs, a gram row of many tiles, reaching past the
-    budget so its tiles draw blocks too, runs its tiles in the calling
-    thread: only the batches of Philox draws run on threads, never more
-    than 3 beside the caller, and none is left when it returns."""
+    """On a machine of 4 CPUs, a gram row of many blocks of offsets,
+    reaching past the budget so its blocks draw Philox blocks too, sums
+    them in the calling thread: only the batches of Philox draws run on
+    threads, never more than 3 beside the caller, and none is left when it
+    returns."""
     monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(matrices.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(matrices, "_CACHE_BYTES", 8 << 20)
     before = threading.active_count()
     v = cn.noise_value(cn.seeded_gram(N, 8, seed=6), cn.NoiseQuery(2, 1, 1e-5))
-    assert v.cutoff > 4 * noise._TILE_OFFSETS
+    assert v.cutoff > 4 * noise._CHUNK
     assert 0 < counted_threads.most <= 3
     assert threading.active_count() == before
 
@@ -646,17 +681,16 @@ def _vectors_bad_at(bad, callers=None):
 
 
 def test_an_error_in_a_middle_tile_reaches_the_caller(counted_threads):
-    """A vector of norm 2 in a middle tile of a row from a user's
+    """A vector of norm 2 in a middle block of offsets of a row from a user's
     gram_from_vectors callable is refused with the usual message; the
     callable only ever ran in the calling thread, no thread of the row is
     left, and the next row is summed as usual."""
     before = threading.active_count()
-    bad = 5 * noise._TILE_OFFSETS // 2
+    bad = 5 * noise._CHUNK // 2
     callers = set()
     A = cn.gram_from_vectors(N, _vectors_bad_at(bad, callers))
     q = cn.NoiseQuery(0, 1, 1.5e-5)
-    assert cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q).cutoff > bad + \
-        noise._TILE_OFFSETS
+    assert cn.noise_value(cn.gram_from_vectors(N, _unit_vectors), q).cutoff > bad + noise._CHUNK
     with pytest.raises(UsageError, match=rf"^gram vector at index {bad} has norm .*, expected 1$"):
         cn.noise_value(A, q)
     assert callers == {threading.get_ident()}
