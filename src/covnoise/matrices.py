@@ -402,11 +402,9 @@ class _BlockCache:
             yield rng
 
     def _draw(self, blocks: np.ndarray, out: np.ndarray) -> None:
-        """Draw block blocks[i] into out[i * _BLOCK:(i + 1) * _BLOCK]: one
-        batch in the calling thread, more on every CPU."""
-        if len(blocks) <= _BATCH:
-            self.fill(self._streams(blocks), blocks, out)
-            return
+        """Draw block blocks[i] into out[i * _BLOCK:(i + 1) * _BLOCK] in
+        batches of _BATCH blocks: the calling thread and a helper thread per
+        further CPU, up to one per further batch, claim them in turn."""
         batches = [slice(i, i + _BATCH) for i in range(0, len(blocks), _BATCH)]
         pending, claim = iter(batches), threading.Lock()
         errors: list[Exception] = []

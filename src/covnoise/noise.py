@@ -188,8 +188,6 @@ def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
             continue
         for s in range(p):
             w_lo, w_hi = (0.0, 1.0) if profile is None else (profile.weight(n, sign * s) ** l,) * 2
-            if w_hi == 0.0:
-                continue
             a_lo, a_hi = _class_tail(reach, s, p)
             # on the naturals the class stops at offset n (index 0)
             b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
@@ -224,8 +222,13 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
     or the term cap, or the rising side (then a scan finds the narrowest
     plan); bisection then finds the smallest cutoff that fits.  A
     tolerance that no cutoff within the cap meets is refused with the
-    smallest width that is achievable.
+    smallest width that is achievable; an index outside the domain of A
+    is refused first.
     """
+
+    if not A.domain.contains(q.n):
+        raise UsageError(f"index {q.n} is not in the {A.domain.name.lower()}; addressable "
+                         f"indices have |n| < 2^61")
 
     def plan(k: int) -> _Plan:
         # on the naturals the segment below n past k is enclosed, so a row costs O(k) terms
@@ -283,12 +286,29 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     return math.fsum(pieces)
 
 
-def check_query(A: StructureMatrix, q: NoiseQuery) -> NoiseQuery:
-    """q, once its index is known to lie in the domain of A."""
-    if not A.domain.contains(q.n):
-        raise UsageError(f"index {q.n} is not in the {A.domain.name.lower()}; addressable "
-                         f"indices have |n| < 2^61")
-    return q
+def _plan_all(A: StructureMatrix, queries: list[NoiseQuery]) -> list[_Plan]:
+    """The plans of queries, all made, in order, before any is summed.  An
+    index outside the domain is refused at once; if some tolerances are out
+    of reach, the refusal of the query with the largest floor is raised, so
+    the tolerance it names works for every query."""
+    plans, refusals = [], []
+    for q in queries:
+        try:
+            plans.append(_select_plan(A, q))
+        except ResourceLimitError as exc:
+            refusals.append(exc)
+    if refusals:
+        raise max(refusals, key=lambda exc: exc.achievable)
+    return plans
+
+
+def _moment(A: StructureMatrix, q: NoiseQuery, plan: _Plan) -> NoiseValue:
+    coeff = _tail_coefficient(q.l)
+    lo, hi = plan.tail
+    center = coeff * (_head_sum(A, q.n, q.l, plan.up, plan.down) + 0.5 * (lo + hi))
+    radius = 0.5 * coeff * (hi - lo) + plan.slack
+    return NoiseValue(center, math.nextafter(center - radius, -math.inf),
+                      math.nextafter(center + radius, math.inf), plan.up)
 
 
 def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
@@ -301,21 +321,35 @@ def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     resource error that names the smallest achievable tolerance.
     """
 
-    plan = _select_plan(A, check_query(A, q))
-    coeff = _tail_coefficient(q.l)
-    lo, hi = plan.tail
-    center = coeff * (_head_sum(A, q.n, q.l, plan.up, plan.down) + 0.5 * (lo + hi))
-    radius = 0.5 * coeff * (hi - lo) + plan.slack
-    return NoiseValue(center, math.nextafter(center - radius, -math.inf),
-                      math.nextafter(center + radius, math.inf), plan.up)
+    return _moment(A, q, _select_plan(A, q))
+
+
+def _noise(q: NoiseQuery, m: NoiseValue) -> NoiseValue:
+    """The bracket of s_n(l) = (pi/sqrt 3)^l - M(n, l) from the bracket m of M(n, l)."""
+    ref = reference_moment(q.l)
+    return NoiseValue(ref - m.value, math.nextafter(ref - m.upper, -math.inf),
+                      math.nextafter(ref - m.lower, math.inf), m.cutoff)
 
 
 def noise_value(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     """Certified bracket for s_n(l) = (pi/sqrt 3)^l - M(n, l)."""
-    m = moment(A, q)
-    ref = reference_moment(q.l)
-    return NoiseValue(ref - m.value, math.nextafter(ref - m.upper, -math.inf),
-                      math.nextafter(ref - m.lower, math.inf), m.cutoff)
+    return _noise(q, moment(A, q))
+
+
+def _plan_samples(A: StructureMatrix, orders: list[int], tol: float,
+                  horizon: int) -> tuple[int, ...]:
+    """The sample points of asymptotic_noise_estimate at horizon, once the
+    tol/10 sample of each order at each point is planned.  A tol some
+    sample cannot reach is refused with the smallest tol that all reach."""
+    points = tuple(sorted({horizon // 4, horizon // 2, horizon}))
+    try:
+        _plan_all(A, [NoiseQuery(p, l, tol / 10.0) for l in orders for p in points])
+    except ResourceLimitError as exc:
+        floor = 10.0 * exc.achievable
+        raise ResourceLimitError(
+            f"tolerance {tol:g} is out of reach for samples bracketed at tol/10; the smallest "
+            f"achievable tolerance is {_round_up(floor)}", floor) from None
+    return points
 
 
 def noise_sequence(A: StructureMatrix, l: int, n_range: IndexWindow,
@@ -357,17 +391,7 @@ def asymptotic_noise_estimate(A: StructureMatrix, l: int, tol: float = 1e-3,
         raise UsageError(f"horizon must be in [16, 2^61), got {horizon}")
     if not tol > 0.0:
         raise UsageError(f"tolerance must be positive, got {tol}")
-    points = tuple(sorted({horizon // 4, horizon // 2, horizon}))
-    floor = tol / 10.0
-    for p in points:
-        try:
-            _select_plan(A, NoiseQuery(p, l, floor))
-        except ResourceLimitError as exc:
-            floor = exc.achievable
-    if floor > tol / 10.0:
-        raise ResourceLimitError(
-            f"tolerance {tol:g} is out of reach for samples bracketed at tol/10; the smallest "
-            f"achievable tolerance is {_round_up(10.0 * floor)}", 10.0 * floor)
+    points = _plan_samples(A, [l], tol, horizon)
     samples = tuple(noise_value(A, NoiseQuery(p, l, tol / 10.0)) for p in points)
     coeff, values = _tail_coefficient(l), [s.value for s in samples]
     if all(s.upper < tol + coeff / p for p, s in zip(points, samples)):
@@ -392,10 +416,9 @@ def is_noiseless_z(B: StructureMatrix, l: int, n_range: IndexWindow,
 
 @dataclass(frozen=True)
 class ChessboardNoiseValue:
-    """Closed-form noise number plus the convention that produced it."""
+    """Closed-form noise number."""
 
     value: float
-    convention: str
 
 
 def chessboard_noise_closed_form(params: ChessboardParams, domain: IndexDomain,
@@ -420,8 +443,7 @@ def chessboard_noise_closed_form(params: ChessboardParams, domain: IndexDomain,
     f(l) * (1 - xi^l) * pi^2/4 when the ones sit on even index sums, and
     f(l) * (1 - xi^l) * pi^2/12 when they sit on odd index sums.  Both
     constants are fixed by direct summation (split the lattice sum by
-    parity: even differences give pi^2/12, odd give pi^2/4); the result
-    records which convention applied.
+    parity: even differences give pi^2/12, odd give pi^2/4).
     """
 
     _validate_order(l)
@@ -438,10 +460,6 @@ def chessboard_noise_closed_form(params: ChessboardParams, domain: IndexDomain,
         beta = even_inverse_squares(k)
         value = front * (math.pi**2 / 3.0 - beta - xi_l * alpha
                          - xi_l * ODD_INVERSE_SQUARES_TOTAL - EVEN_INVERSE_SQUARES_TOTAL)
-        return ChessboardNoiseValue(value, "naturals, ones on even sums: partial-sum form")
-
-    if params.orientation is Orientation.ONE_ON_EVEN_SUM:
-        value = front * (1.0 - xi_l) * math.pi**2 / 4.0
-        return ChessboardNoiseValue(value, "integers, ones on even sums: constant pi^2/4")
-    value = front * (1.0 - xi_l) * math.pi**2 / 12.0
-    return ChessboardNoiseValue(value, "integers, ones on odd sums: constant pi^2/12")
+        return ChessboardNoiseValue(value)
+    even = params.orientation is Orientation.ONE_ON_EVEN_SUM
+    return ChessboardNoiseValue(front * (1.0 - xi_l) * math.pi**2 / (4.0 if even else 12.0))

@@ -86,50 +86,31 @@ class IntervalSet:
             if piece.count(":") != 1:
                 raise UsageError(f"interval piece {piece!r} must look like lo:hi")
             lo, hi = piece.split(":")
-            pairs.append((_eval_endpoint(lo), _eval_endpoint(hi)))
+            pairs.append((angle_from_string(lo), angle_from_string(hi)))
         return cls.from_pairs(pairs)
-
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls(((0.0, TWO_PI),))
 
     @property
     def total_length(self) -> float:
         return math.fsum(b - a for a, b in self.intervals)
 
-    def complement(self) -> "IntervalSet":
-        gaps = []
-        prev = 0.0
-        for a, b in self.intervals:
-            if a > prev:
-                gaps.append((prev, a))
-            prev = b
-        if prev < TWO_PI:
-            gaps.append((prev, TWO_PI))
-        return IntervalSet(tuple(gaps))
-
 
 _ALLOWED_ENDPOINT = set("0123456789pi+-*/(). ")
 
 
-def _eval_endpoint(expr: str) -> float:
-    expr = expr.strip()
-    if not expr or not set(expr) <= _ALLOWED_ENDPOINT or "**" in expr:
-        raise UsageError(f"cannot parse interval endpoint {expr!r}")
-    try:
-        value = eval(expr, {"__builtins__": {}}, {"pi": math.pi})  # noqa: S307
-    except Exception as exc:
-        raise UsageError(f"cannot parse interval endpoint {expr!r}") from exc
-    if not isinstance(value, (int, float)):
-        raise UsageError(f"interval endpoint {expr!r} is not a number")
-    if not abs(value) <= sys.float_info.max:
-        raise UsageError(f"interval endpoint {expr!r} is not a finite float")
-    return float(value)
-
-
 def angle_from_string(text: str) -> float:
-    """Parse a single angle expression such as "pi/2" or "3*pi/4"."""
-    return _eval_endpoint(text)
+    """Parse an angle or interval endpoint such as "pi/2" or "3*pi/4"."""
+    text = text.strip()
+    if not text or not set(text) <= _ALLOWED_ENDPOINT or "**" in text:
+        raise UsageError(f"cannot parse interval endpoint {text!r}")
+    try:
+        value = eval(text, {"__builtins__": {}}, {"pi": math.pi})  # noqa: S307
+    except Exception as exc:
+        raise UsageError(f"cannot parse interval endpoint {text!r}") from exc
+    if not isinstance(value, (int, float)):
+        raise UsageError(f"interval endpoint {text!r} is not a number")
+    if not abs(value) <= sys.float_info.max:
+        raise UsageError(f"interval endpoint {text!r} is not a finite float")
+    return float(value)
 
 
 def shift_interval(X: IntervalSet, x: float) -> IntervalSet:

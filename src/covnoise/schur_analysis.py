@@ -35,17 +35,16 @@ _STALL, _MAX_MATVECS = 4, 1000  # see _toeplitz_perron_norm
 class NormEstimate:
     """Spectral norm estimate.
 
-    The dense path (HERMITIAN_EIGEN) is one eigensolve: iterations and
-    residual are 0 and lower/upper are None, so its value is not
-    certified.  The Toeplitz power iteration and STRUCTURE set lower/upper,
-    which certify the norm: lower <= ||M|| <= upper after rounding;
-    iterations counts FFT matvecs and residual is the relative width.
+    The dense path (HERMITIAN_EIGEN) is one eigensolve: iterations is 0
+    and lower/upper are None, so its value is not certified.  The
+    Toeplitz power iteration and STRUCTURE set lower/upper, which certify
+    the norm: lower <= ||M|| <= upper after rounding; iterations counts
+    FFT matvecs.
     """
 
     value: float
     method: NormMethod
     iterations: int
-    residual: float
     lower: float | None = None
     upper: float | None = None
 
@@ -89,7 +88,7 @@ def operator_norm(M: np.ndarray) -> NormEstimate:
     H = M + M.conj().T
     H /= 2.0  # exactly Hermitian: the centrohermitian test reads conj(H) as H.T
     solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.T) else np.linalg.eigvalsh
-    return NormEstimate(float(np.max(np.abs(solve(H)))), NormMethod.HERMITIAN_EIGEN, 0, 0.0)
+    return NormEstimate(float(np.max(np.abs(solve(H)))), NormMethod.HERMITIAN_EIGEN, 0)
 
 
 def _half_circle_column(r: int) -> np.ndarray:
@@ -162,8 +161,7 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
     if not lower <= value <= upper:
         raise ContractViolationError(f"Rayleigh quotient {value!r} lies outside its certified "
                                      f"bracket [{lower!r}, {upper!r}] at size {n}")
-    return NormEstimate(value, NormMethod.TOEPLITZ_POWER, matvecs,
-                        (upper - lower) / value, lower, upper)
+    return NormEstimate(value, NormMethod.TOEPLITZ_POWER, matvecs, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -243,9 +241,9 @@ def sylvester_hadamard_example(p: int) -> tuple[np.ndarray, NormEstimate, NormEs
     value = lower = upper = r * s
     for _ in range(2 * (p % 2)):  # s and r s are exact for even p
         lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)
-    norm = NormEstimate(value, NormMethod.STRUCTURE, 0, (upper - lower) / value, lower, upper)
+    norm = NormEstimate(value, NormMethod.STRUCTURE, 0, lower, upper)
     modulus = r * 2.0 ** p
-    return H / s, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, 0.0, modulus, modulus)
+    return H / s, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, modulus, modulus)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ def _line(tag, ok, detail):
     print(f"criterion {tag} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _complement(X):
+    """The complement of X in [0, 2pi): the gaps between its pieces."""
+    ends = [0.0, *(end for piece in X.intervals for end in piece), 2.0 * math.pi]
+    return cn.IntervalSet(tuple((a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b))
+
+
 def _random_interval_set(rng, max_pieces=3):
     pieces = int(rng.integers(1, max_pieces + 1))
     cuts = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=2 * pieces))
@@ -276,7 +282,7 @@ def test_criterion_07_observable_positivity_and_normalization():
         eigs = np.linalg.eigvalsh(op.entries)
         low = min(low, float(eigs[0]))
         high = max(high, float(eigs[-1]))
-        comp = cn.observable_operator(A, X.complement(), w)
+        comp = cn.observable_operator(A, _complement(X), w)
         resolution = op.entries + comp.entries - np.eye(w.size)
         worst_sum = max(worst_sum, float(np.max(np.abs(resolution))))
     ok = low >= -1e-6 and high <= 1.0 + 1e-6 and worst_sum <= 1e-12

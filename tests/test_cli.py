@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covnoise as cn
-from covnoise import cli, verify
+from covnoise import cli, noise, verify
 from covnoise.cli import _operator_pieces, _render_csv, _render_json, _report_text, main
 
 
@@ -611,6 +611,47 @@ def test_asymptotic_refuses_a_horizon_past_the_indices_before_summing(capsys, mo
         code, out, err = run_cli(capsys, "asymptotic", "--l", "1,2", "--horizon", horizon)
         assert (code, out) == (2, "")
         assert err == f"error: --horizon must be in [16, 2^61), got {horizon}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise-table", "--n", "0", "--l", "1,4", "--tol", "1e-14"],
+    ["asymptotic", "--l", "4,8", "--tol", "1e-13"],
+], ids=["table", "asymptotic"])
+def test_a_refusal_names_a_tolerance_every_query_reaches(capsys, argv):
+    """Of several queries out of reach, the one with the largest floor is
+    refused, so the tolerance named, passed back as --tol, runs them all."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    floor = re.search(r"smallest achievable tolerance is ([^\s)]+)", err).group(1)
+    code, out, err = run_cli(capsys, *argv[:-1], floor)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise-table", "--n", "0", "--l", "1,8", "--tol", "1e-12"],
+    ["asymptotic", "--l", "1,8", "--tol", "1e-11"],
+    ["noise-diagonal", "--n", "0,100", "--tol", "1.8e-13"],
+], ids=["table", "asymptotic", "diagonal"])
+def test_a_tolerance_out_of_reach_is_refused_before_any_bracket_is_summed(capsys, monkeypatch,
+                                                                         argv):
+    """Every query of the command is planned before the first is summed:
+    a late query out of reach (l = 8, or n = 100 whose floor 1.85e-13
+    lies above that of n = 0, 1.75e-13) exits 3 with no row summed."""
+    summed = []
+    real = noise._head_sum
+    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith("resource limit: tolerance ")
+    assert summed == []
+
+
+def test_noise_table_plans_each_query_once(capsys, monkeypatch):
+    planned = []
+    real = noise._select_plan
+    monkeypatch.setattr(noise, "_select_plan", lambda A, q: planned.append(q) or real(A, q))
+    code, out, err = run_cli(capsys, "noise-table", "--n", "0:4", "--l", "1,2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 11
+    assert [(q.n, q.l) for q in planned] == [(n, l) for n in range(5) for l in (1, 2)]
 
 
 @pytest.mark.parametrize("spec", [

@@ -486,6 +486,33 @@ def test_seeded_values_are_frozen(monkeypatch, kind, budget):
     assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind]
 
 
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_seeded_values_are_frozen_on_any_number_of_cpus(monkeypatch, cpus):
+    """The frozen values hold whether the Philox batches of a draw all run
+    in the calling thread (1 CPU) or are shared with up to 7 helper
+    threads (8 CPUs), at a 256 KiB budget that draws past it too."""
+    per_draw, real_draw = [], matrices._BlockCache._draw
+
+    class Counted(threading.Thread):
+        def start(self):
+            per_draw[-1] += 1
+            super().start()
+
+    def draw(self, blocks, out):
+        per_draw.append(0)
+        real_draw(self, blocks, out)
+
+    monkeypatch.setattr(matrices.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(matrices.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(matrices.threading, "Thread", Counted)
+    monkeypatch.setattr(matrices._BlockCache, "_draw", draw)
+    monkeypatch.setattr(matrices, "_CACHE_BYTES", 1 << 18)
+    for kind in _FROZEN:
+        assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind], kind
+    assert max(per_draw) == cpus - 1
+
+
 def _owned_bytes(cache):
     return sum(v.nbytes for v in vars(cache).values()
                if isinstance(v, np.ndarray) and v.base is None)
