@@ -19,7 +19,9 @@ convergence check.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -214,27 +216,42 @@ def _round_up(x: float) -> str:
     return "%.3g" % (math.ceil(x / step * (1.0 + 1e-12)) * step)
 
 
+# per matrix, the last cutoff found for each (order, tolerance): where the next search
+# starts.  Only a hint: a stale, lost or racing entry changes no plan, only the search's cost.
+_LAST_CUTOFF: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
     """The plan with the smallest cutoff whose width is <= q.tol.
 
     The width falls with the cutoff while the tail dominates and rises
-    once the rounding allowance does.  Doubling finds a cutoff that fits,
-    or the term cap, or the rising side (then a scan finds the narrowest
-    plan); bisection then finds the smallest cutoff that fits.  A
-    tolerance that no cutoff within the cap meets is refused with the
-    smallest width that is achievable; an index outside the domain of A
-    is refused first.
+    once the rounding allowance does, so the cutoffs that fit form one
+    run.  The search first tries the last cutoff found for A at the same
+    order and tolerance: if it fits within the term cap and the cutoff
+    below it does not, it starts that run and is the answer.  Otherwise
+    doubling finds a cutoff that fits, or the term cap, or the rising
+    side (then a scan finds the narrowest plan); bisection then finds the
+    smallest cutoff that fits.  Either way the cutoff is the same, and
+    each plan is made at most once per search.  A tolerance that no
+    cutoff within the cap meets is refused with the smallest width that
+    is achievable; an index outside the domain of A is refused first.
     """
 
     if not A.domain.contains(q.n):
         raise UsageError(f"index {q.n} is not in the {A.domain.name.lower()}; addressable "
                          f"indices have |n| < 2^61")
 
+    @functools.cache
     def plan(k: int) -> _Plan:
         # on the naturals the segment below n past k is enclosed, so a row costs O(k) terms
         return _row_plan(A, q.n, q.l, k, k if A.domain is IndexDomain.INTEGERS else min(k, q.n))
 
     cap = DEFAULT_TERM_CAP
+    found = _LAST_CUTOFF.setdefault(A, {})
+    h = found.get((q.l, q.tol))
+    if (h is not None and plan(h).terms <= cap and plan(h).width <= q.tol
+            and (h == 1 or plan(h - 1).width > q.tol)):
+        return plan(h)
     # from one period on, doubling the cutoff moves every residue class
     lo, cur = 0, plan(1 if A.profile is None else A.profile.period)
     while cur.width > q.tol:
@@ -257,7 +274,8 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
             cur = nxt
             break
         lo, cur = k, nxt
-    return plan(_first(lo, cur.up, lambda j: plan(j).width <= q.tol))
+    best = found[q.l, q.tol] = _first(lo, cur.up, lambda j: plan(j).width <= q.tol)
+    return plan(best)
 
 
 def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:

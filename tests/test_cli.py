@@ -654,6 +654,25 @@ def test_noise_table_plans_each_query_once(capsys, monkeypatch):
     assert [(q.n, q.l) for q in planned] == [(n, l) for n in range(5) for l in (1, 2)]
 
 
+@pytest.mark.parametrize("argv, plans", [
+    (["noise-table", "--n", "0:99", "--l", "1,2,4"], 648),
+    (["asymptotic", "--l", "1,2"], 36),
+    (["noise-diagonal"], 6),
+], ids=["table", "asymptotic", "diagonal"])
+def test_row_plans_per_command(capsys, monkeypatch, argv, plans):
+    """Count gate on the cutoff search, which starts from the last cutoff
+    found for the matrix, order and tolerance: a next row with the same
+    cutoff, or a query planned again, costs two row plans.  `asymptotic`
+    plans each sample three times and `noise-diagonal` each row twice;
+    searches that started from 1 each time made 2423, 72 and 12."""
+    planned = []
+    real = noise._row_plan
+    monkeypatch.setattr(noise, "_row_plan", lambda *args: planned.append(args) or real(*args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(planned) == plans
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "torus", "domain": "N", "phases": [0.0, 0.5, 1.5]},
     {"kind": "gram", "domain": "N", "vectors": [[[1.0, 0.0]], [[0.0, 1.0]]]},

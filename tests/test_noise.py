@@ -1,7 +1,11 @@
+import collections
 import dataclasses
+import gc
+import itertools
 import math
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -325,14 +329,6 @@ def test_asymptotic_reaches_a_large_horizon_on_profiled_rows():
         assert v.cutoff <= 100
 
 
-def test_noise_sequence_matches_pointwise():
-    A = cn.constant_one(Z)
-    seq = cn.noise_sequence(A, 2, cn.IndexWindow(-2, 2), tol=1e-6)
-    assert len(seq) == 5
-    single = cn.noise_value(A, cn.NoiseQuery(0, 2, 1e-6))
-    assert seq[2].value == single.value
-
-
 # chessboard closed forms: the naturals formula is checked against brackets,
 # the integers constants against both orientations.
 
@@ -500,6 +496,97 @@ _BUILDERS = {
     "seeded_gram": lambda d: cn.seeded_gram(d, 8, seed=5),
     "vectors_gram": lambda d: cn.gram_from_vectors(d, _unit_vectors),
 }
+
+
+# The cutoff search starts from the last cutoff found for the matrix, order
+# and tolerance; these tests hold it to the cutoff of a search from scratch.
+
+
+def _search_matrices(rng):
+    """Every kind of row the search meets, on N and on Z: profiles of period
+    1 and 2 (the chessboard in both orientations, xi 0, 1 and random), a
+    seeded torus and gram, and a hand-built matrix with no profile."""
+    xis = (0.0, 1.0, float(rng.uniform(0.05, 0.95)))
+    out = []
+    for d in (N, Z):
+        out += [cn.constant_one(d), cn.seeded_torus(d, seed=3), cn.seeded_gram(d, 8, seed=3),
+                _unprofiled_constant_one(d)]
+        out += [cn.chessboard(d, cn.ChessboardParams(xi, o)) for xi in xis
+                for o in cn.Orientation]
+    return out
+
+
+def _search(A, q, guess):
+    """_select_plan with guess as the last cutoff found for (q.l, q.tol), or
+    with none: its plan, or its refusal's message and achievable tolerance."""
+    noise._LAST_CUTOFF.pop(A, None)
+    if guess is not None:
+        noise._LAST_CUTOFF[A] = {(q.l, q.tol): guess}
+    try:
+        return noise._select_plan(A, q)
+    except ResourceLimitError as exc:
+        return str(exc), exc.achievable
+
+
+def test_a_guessed_search_returns_the_plan_of_a_search_from_scratch():
+    """Whatever cutoff the search starts from (1, one off the answer, the
+    answer, far above it, random, or past the term cap, where a refused
+    query's cutoff would fit), it returns the plan of a search with nothing
+    to start from, or the same refusal: tolerances below the rounding floor
+    and past the term cap included."""
+    rng = np.random.default_rng(25)
+    for A in _search_matrices(rng):
+        ns = (0, 1, 57, int(rng.integers(2, 10**6))) if A.domain is N else \
+            (0, -3, int(rng.integers(-10**6, 10**6)))
+        for l, n, tol in itertools.product((1, 2, 4), ns, (1e-2, 1e-6, 1e-10, 3e-13, 1e-18)):
+            q = cn.NoiseQuery(n, l, tol)
+            cold = _search(A, q, None)
+            if isinstance(cold, noise._Plan):
+                k = cold.up
+                assert noise._LAST_CUTOFF[A] == {(l, tol): k}
+            elif "term cap" in cold[0]:  # the smallest cutoff that fits once the cap is set aside
+                k = noise._first(0, 2**62, lambda j: noise._row_plan(
+                    A, n, l, j, j if A.domain is Z else min(j, n)).width <= tol)
+            else:
+                k = int(rng.integers(2, 100))
+            for guess in {1, max(k - 1, 1), k, k + 1, 2 * k + 3, int(rng.integers(1, 10**4)),
+                          10**9}:
+                assert _search(A, q, guess) == cold, (A.label, q, guess)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+@pytest.mark.parametrize("domain", [N, Z])
+def test_noise_sequence_rows_are_cold_noise_values(name, domain):
+    """Each row of noise_sequence, planned from the cutoff of the row
+    before, has the bits of noise_value on a fresh matrix, planned from
+    scratch; and the cutoffs kept for the matrix do not keep it alive."""
+    build = _BUILDERS[name]
+    A = build(domain)
+    tol = 1e-10 if A.profile is not None else 1e-3
+    w = cn.IndexWindow(0, 8) if domain is N else cn.IndexWindow(-3, 3)
+    for l in (1, 3):
+        seq = cn.noise_sequence(A, l, w, tol)
+        cold = [cn.noise_value(build(domain), cn.NoiseQuery(n, l, tol))
+                for n in range(w.lo, w.hi + 1)]
+        assert [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in seq] == \
+            [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in cold]
+    assert set(noise._LAST_CUTOFF[A]) == {(1, tol), (3, tol)}
+    gone = weakref.ref(A)
+    del A
+    gc.collect()
+    assert gone() is None
+
+
+def test_a_run_of_rows_is_planned_from_the_last_cutoff(monkeypatch):
+    """Count gate on the cutoff search: the first row doubles and bisects
+    to cutoff 17 in 11 row plans; each next row with that cutoff costs two,
+    17 and 16, where a search from scratch made 12 a row."""
+    planned = []
+    real = noise._row_plan
+    monkeypatch.setattr(noise, "_row_plan", lambda *args: planned.append(args[1]) or real(*args))
+    seq = cn.noise_sequence(cn.constant_one(N), 2, cn.IndexWindow(79, 82), 1e-10)
+    assert [v.cutoff for v in seq] == [17] * 4
+    assert collections.Counter(planned) == {79: 11, 80: 2, 81: 2, 82: 2}
 
 
 def _row_results(A, domain, reach, tol):
