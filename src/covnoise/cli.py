@@ -302,8 +302,8 @@ def _report_text(header: tuple[str, ...], rows, fmt: str, records=None) -> str:
                         if records is None else records)
 
 
-# Entries per tile of an operator dump: a block up to about 360 wide is one
-# tile, so its distinct values are formatted once for the whole block.
+# Entries per tile of a dense operator dump, each float formatted once by one
+# template: a block up to about 360 wide is one tile.
 _TILE_ENTRIES = 1 << 17
 
 
@@ -314,30 +314,27 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
     operator's 2N - 1 values d(1 - N) .. d(N - 1), whose row i is d(i) down
     to d(i + 1 - N): those values are formatted once for the whole dump,
     and each row, one piece, joins a slice of their pair strings.  A block
-    comes in tiles of about _TILE_ENTRIES entries; each tile formats each
-    distinct float with %.17g once, telling floats apart by bit pattern so
-    that -0.0 still prints -0, and fills one template.  Each tile is made
-    contiguous on its own, so a block may be a strided view that is never
-    copied whole.
+    comes in tiles of about _TILE_ENTRIES entries, each made contiguous on
+    its own (a strided view is never copied whole) and formatted float by
+    float with one %.17g template, which prints -0.0 as -0.
     """
 
     size = window.size
     labels = [str(n) for n in window.indices().tolist()]
     if fmt == "csv":
-        head, tail, sep, pair = "n,m,re,im\n", "", "", "%s,%s"
+        head, tail, sep, pair = "n,m,re,im\n", "", "", "%.17g,%.17g"
         by_pair = "".join("\0,%s,%%s\n" % m for m in labels)  # the row label goes at \0
         row = lambda i, cells: by_pair.replace("\0", labels[i]) % tuple(cells)
     else:
         head = '{"window": [%d, %d], "entries": [' % (window.lo, window.hi)
-        tail, sep, pair = "]}\n", ", ", "[%s, %s]"
+        tail, sep, pair = "]}\n", ", ", "[%.17g, %.17g]"
         by_pair = ", ".join(["%s"] * size)
         row = lambda i, cells: ", ".join(cells)
     yield head
     if entries.ndim == 1:
         # pairs[k] is d(size - 1 - k), so row i is pairs[size - 1 - i:2 size - 1 - i]
         words = np.ascontiguousarray(entries[::-1], dtype=np.complex128).view(np.float64)
-        form = pair % ("%.17g", "%.17g") + "\0"
-        pairs = (form * (2 * size - 1) % tuple(words.tolist())).split("\0")
+        pairs = ((pair + "\0") * (2 * size - 1) % tuple(words.tolist())).split("\0")
         for i in range(size):
             yield (sep if i else "") + row(i, pairs[size - 1 - i:2 * size - 1 - i])
     else:
@@ -346,11 +343,8 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
         for lo in range(0, size, step):
             rows = range(lo, min(lo + step, size))
             tile = np.ascontiguousarray(entries[lo:rows.stop], dtype=np.complex128)
-            distinct, inverse = np.unique(tile.view(np.uint64), return_inverse=True)
-            tokens = ("%.17g\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
-            cells = np.array(tokens.split("\0")[:-1], dtype=object)[inverse.reshape(-1)]
             text = sep.join(by_word.replace("\0", labels[i]) for i in rows) % tuple(
-                cells.tolist())
+                tile.view(np.float64).ravel().tolist())
             yield (sep if lo else "") + text  # a JSON piece after the first opens with ", "
     yield tail
 

@@ -536,9 +536,9 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
     Shape: {"kind": ..., "domain": "N" | "Z", plus kind-specific fields}.
     Kinds: constant_one; chessboard (xi, optional orientation); torus with
     "phases" either an explicit array (naturals, indices 0..len-1) or
-    {"formula": "linear", "slope": s}; gram with "vectors" given as a list
-    of [re, im]-pair lists (naturals, indices 0..len-1), or with a
-    "seed"/"dim" pair for seeded_gram.
+    {"formula": "linear", "slope": s}, read by difference e^{is(n - m)};
+    gram with "vectors" given as a list of [re, im]-pair lists (naturals,
+    indices 0..len-1), or with a "seed"/"dim" pair for seeded_gram.
     """
 
     if not isinstance(spec, dict):
@@ -568,9 +568,10 @@ def matrix_from_spec(spec: dict) -> StructureMatrix:
             if phases.get("formula") != "linear":
                 raise UsageError(f"unknown phase formula {phases.get('formula')!r}")
             slope = _spec_float(phases.get("slope", 0.0), "phases.slope")
-            return torus_from_phases(
-                domain, PhaseSequence(lambda n: slope * np.asarray(n, dtype=float)),
-                label=f"torus(slope={slope:g})[{domain.value}]")
+            difference = lambda q: np.exp(1j * slope * np.asarray(q))[()]  # e^{is(n - m)}
+            return StructureMatrix(domain, lambda n, m: difference(np.subtract(n, m)),
+                                   f"torus(slope={slope:g})[{domain.value}]",
+                                   profile=UNIMODULAR, difference=difference)
         if isinstance(phases, list):
             if domain is not IndexDomain.NATURALS:
                 raise UsageError("explicit phase arrays index the naturals only")

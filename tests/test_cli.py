@@ -264,9 +264,10 @@ def _capped_child(argv, limit, **env):
     return [sys.executable, "-c", child, *argv], {**_child_env(), **env}
 
 
-def _run_capped(argv, limit, **env):
+def _run_capped(argv, limit, stdout=subprocess.PIPE, **env):
     command, environ = _capped_child(argv, limit, **env)
-    return subprocess.run(command, capture_output=True, text=True, timeout=300, env=environ)
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=300, env=environ)
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,15 +322,19 @@ def test_chessboard_covariance_past_the_default_cap_fits_in_1_gib():
                            '"defect": 1.2489264668080304e-16, "pass": true}\n')
 
 
-def test_out_of_memory_exits_3_without_a_traceback():
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path):
     """A report that does not fit in the address space exits 3 with
     numpy's message, like any other resource limit: under a raised window
-    cap, the 8192-wide block of a torus matrix alone is 1 GiB of complex
-    entries.  (Constant one and the chessboard are read by difference, so
-    their 8192-wide dumps stream in O(N) memory.)"""
-    proc = _run_capped(["observable", "--matrix", json.dumps(TORUS_Z), "--window=0:8191"],
-                       1 << 30, COVNOISE_MAX_WINDOW="8192")
-    assert proc.returncode == 3 and proc.stdout == ""
+    cap, the 8192-wide block of a gram matrix alone is 1 GiB of complex
+    entries.  (Constant one, the chessboard and the linear torus are read
+    by difference, so their 8192-wide dumps stream in O(N) memory.)  The
+    child writes to a file, so a dump that did stream is never held here."""
+    out = tmp_path / "stdout"
+    with open(out, "w") as fh:
+        proc = _run_capped(["observable", "--matrix", '{"kind": "gram", "domain": "N", '
+                            '"seed": 1, "dim": 8}', "--window=0:8191"],
+                           1 << 30, stdout=fh, COVNOISE_MAX_WINDOW="8192")
+    assert proc.returncode == 3 and out.read_text() == ""
     assert proc.stderr.startswith("resource limit: out of memory: ")
     assert "Traceback" not in proc.stderr
 
@@ -465,7 +470,7 @@ def test_non_object_config_matrix_is_refused_by_every_subcommand(tmp_path, capsy
 
 @pytest.mark.parametrize("spec", [{"kind": "constant_one", "domain": "N"},
                                   {"kind": "chessboard", "domain": "N", "xi": 0.5},
-                                  {"kind": "chessboard", "domain": "Z", "xi": 0.5}],
+                                  {"kind": "chessboard", "domain": "Z", "xi": 0.5}, TORUS_Z],
                          ids=lambda spec: f"{spec['kind']}-{spec['domain']}")
 @pytest.mark.parametrize("command", [["observable"], ["observable", "--moment", "2"],
                                      ["covariance-check"]], ids=" ".join)
@@ -485,6 +490,22 @@ def test_matrices_read_by_difference_keep_the_window_checks(capsys, monkeypatch,
     assert (code, out) == (3, "") and "exceeding the cap 16" in err
     code, out, err = run_cli(capsys, *argv, "--window=0:15")
     assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("spec, dense", [(TORUS_Z, 0), (json.loads(_GRAM_Z), 1)],
+                         ids=["linear-torus", "gram"])
+@pytest.mark.parametrize("command", [["observable"], ["observable", "--moment", "1"],
+                                     ["observable", "--moment", "2"], ["covariance-check"]],
+                         ids=" ".join)
+def test_linear_torus_is_read_by_difference(capsys, monkeypatch, spec, dense, command):
+    """The linear torus declares difference, so its observables, moment
+    operators and covariance checks build no dense block; a gram matrix,
+    which declares none, builds one."""
+    truncations = []
+    monkeypatch.setattr(cn.observables, "truncate",
+                        lambda *args: truncations.append(args) or cn.truncate(*args))
+    code, out, err = run_cli(capsys, *command, "--matrix", json.dumps(spec), "--window=-64:63")
+    assert (code, err, len(truncations)) == (0, "", dense) and out
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -778,7 +799,7 @@ def test_observable_csv_projection(capsys):
     ({"kind": "chessboard", "domain": "Z", "xi": 0.5}, "-150:149", "json",
      "ce3c7205b6880c7d319d1823062eae715b96126243a67148dcbb049f5b32f04e"),
     (TORUS_Z, "-150:149", "json",
-     "a380d10469c8a088772cf019159e4a2a680c6430f60da4068a8df76c774d0216"),
+     "9ca1b372c9aee7ac01342eed7cec55ddab4faee23cc2c1c496b031d74d3e392f"),
     ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "json",
      "7902fb182d4b2efb640d3e1332294f9429af7a20151cf601e767b8b01eccc03c"),
     ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "csv",
@@ -787,7 +808,7 @@ def test_observable_csv_projection(capsys):
         "gram-csv"])
 def test_observable_dump_bytes_are_pinned(capsys, spec, window, fmt, digest):
     """300-wide dumps whose rows all repeat the previous one shifted
-    (constant one, chessboard) or none do (linear torus, gram) hash to the
+    (constant one, chessboard, linear torus) or none do (gram) hash to the
     bytes that formatting entry by entry gives."""
     code, out, err = run_cli(capsys, "observable", "--matrix", json.dumps(spec),
                              "--window=" + window, "--format", fmt)

@@ -117,6 +117,8 @@ def test_chessboard_block_holds_one_byte_per_entry_beyond_itself():
     cn.chessboard(N, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
     cn.chessboard(Z, cn.ChessboardParams(0.6, cn.Orientation.ONE_ON_ODD_SUM)),
     cn.chessboard(Z, cn.ChessboardParams(1.0)),
+    *[cn.matrix_from_spec({"kind": "torus", "domain": d.value,
+                           "phases": {"formula": "linear", "slope": 0.4}}) for d in (N, Z)],
 ], ids=lambda A: A.label)
 def test_declared_difference_is_the_entry_bit_for_bit(A):
     """entry(n, m) and difference(n - m) have the same bit pattern on
@@ -136,9 +138,7 @@ def test_declared_difference_is_the_entry_bit_for_bit(A):
         q = np.subtract(n, m)
         assert np.array_equal(_bits(A.entry(n, m)), _bits(A.difference(q)))
         assert np.shape(A.difference(q)) == np.shape(q)
-    for B in (cn.seeded_torus(A.domain, seed=1), cn.seeded_gram(A.domain, 4, seed=1),
-              cn.matrix_from_spec({"kind": "torus", "domain": A.domain.value,
-                                   "phases": {"formula": "linear", "slope": 0.4}})):
+    for B in (cn.seeded_torus(A.domain, seed=1), cn.seeded_gram(A.domain, 4, seed=1)):
         assert B.difference is None
 
 
@@ -225,6 +225,16 @@ def _torus_reference(phases):
     return entry
 
 
+def _linear_torus_reference(slope):
+    """e^{i slope (n - m)}, as perfbench's matrix_entry writes it."""
+
+    def entry(n, m):
+        na, ma = _grids(n, m)
+        return np.exp(1j * slope * (na - ma).astype(float))[()]
+
+    return entry
+
+
 def _with_reference(monkeypatch, kind, domain):
     """A builder's matrix and an entry oracle that evaluates it on full
     broadcast index grids, as the oracles did before they broadcast."""
@@ -247,9 +257,7 @@ def _with_reference(monkeypatch, kind, domain):
     if kind == "linear_torus":
         spec = {"kind": "torus", "domain": domain.value,
                 "phases": {"formula": "linear", "slope": 0.4}}
-        A, phases = _captured(monkeypatch, "torus_from_phases",
-                              lambda: cn.matrix_from_spec(spec))
-        return A, _torus_reference(phases)
+        return cn.matrix_from_spec(spec), _linear_torus_reference(0.4)
     if kind == "gram_list":
         rng = np.random.default_rng(12)
         flat = rng.normal(size=(512, 4))
@@ -295,18 +303,20 @@ def test_broadcast_oracles_match_full_grid_evaluation_bit_for_bit(monkeypatch, k
 
 @pytest.mark.parametrize("kind", ["seeded", "linear"])
 def test_torus_oracle_is_the_exp_of_the_phase_difference_bit_for_bit(monkeypatch, kind):
-    """The oracle writes nu(n) - nu(m) into the imaginary part of its one
-    output and exponentiates in place; that is np.exp(1j * (nu(n) - nu(m)))
-    to the bit on blocks, rows and scalars, with phases of both signs."""
+    """The seeded oracle writes nu(n) - nu(m) into the imaginary part of its
+    one output and exponentiates in place; that is np.exp(1j * (nu(n) -
+    nu(m))) to the bit on blocks, rows and scalars, with phases of both
+    signs.  The linear torus is np.exp(1j * s * (n - m)) to the bit."""
     if kind == "seeded":
         A, phases = _captured(monkeypatch, "torus_from_phases", lambda: cn.seeded_torus(Z, seed=2))
+        nu = phases.nu
+
+        def old(n, m):
+            return np.exp(1j * (np.asarray(nu(n), dtype=float)
+                                - np.asarray(nu(m), dtype=float)))[()]
     else:
         spec = {"kind": "torus", "domain": "Z", "phases": {"formula": "linear", "slope": -0.7}}
-        A, phases = _captured(monkeypatch, "torus_from_phases", lambda: cn.matrix_from_spec(spec))
-    nu = phases.nu
-
-    def old(n, m):
-        return np.exp(1j * (np.asarray(nu(n), dtype=float) - np.asarray(nu(m), dtype=float)))[()]
+        A, old = cn.matrix_from_spec(spec), _linear_torus_reference(-0.7)
 
     idx = np.arange(-700, 700)  # a negative slope on Z: phases of both signs
     for n, m in [(idx[:, None], idx[None, :]), (-9, idx), (idx, 11), (idx, idx[::-1]),
@@ -314,6 +324,26 @@ def test_torus_oracle_is_the_exp_of_the_phase_difference_bit_for_bit(monkeypatch
         new = A.entry(n, m)
         assert type(new) is type(old(n, m)) and np.shape(new) == np.shape(old(n, m))
         assert np.array_equal(_bits(new), _bits(old(n, m)))
+
+
+def test_linear_torus_moves_by_the_rounding_of_its_two_phases():
+    """The linear torus reads e^{is(n - m)} with one rounding of s(n - m)
+    where e^{i(sn - sm)} had three.  On a block and on a far row the two
+    differ by no more than the rounding of sn, sm and their difference,
+    u(|sn| + |sm| + 2|s(n - m)|), plus a few ulps of exp."""
+    slope, u = 0.4, 2.0**-53
+    A = cn.matrix_from_spec({"kind": "torus", "domain": "Z",
+                             "phases": {"formula": "linear", "slope": slope}})
+    idx = np.arange(-512, 512)
+    worst = 0.0
+    for n, m in [(idx[:, None], idx[None, :]), (10**9, 10**9 + np.arange(-500, 500))]:
+        n, m = np.broadcast_arrays(n, m)
+        sn, sm = slope * n.astype(float), slope * m.astype(float)
+        moved = np.abs(A.entry(n, m) - np.exp(1j * (sn - sm)))
+        bound = u * (np.abs(sn) + np.abs(sm) + 2.0 * np.abs(sn - sm)) + 8.0 * u
+        assert np.all(moved <= bound)
+        worst = max(worst, float(moved.max()))
+    assert worst > 0.0  # the entries did move: e^{is(n - m)} is read, not e^{i(sn - sm)}
 
 
 def test_gram_oracle_fetches_each_side_once(monkeypatch):

@@ -259,6 +259,8 @@ def test_covariance_defect_matches_two_operator_recipe(A, w, monkeypatch):
 @pytest.mark.parametrize("A", [
     cn.constant_one(N), cn.constant_one(Z), cn.chessboard(N, cn.ChessboardParams(0.4)),
     cn.chessboard(Z, cn.ChessboardParams(0.8)), cn.chessboard(Z, cn.ChessboardParams(1.0)),
+    *[cn.matrix_from_spec({"kind": "torus", "domain": d.value,
+                           "phases": {"formula": "linear", "slope": -1.3}}) for d in (N, Z)],
 ], ids=lambda A: A.label)
 def test_difference_path_matches_the_dense_path_bit_for_bit(A):
     """On random interval sets, shifts and windows (odd, even and of size
