@@ -39,7 +39,7 @@ class NormEstimate:
     and lower/upper are None, so its value is not certified.  The
     Toeplitz power iteration and STRUCTURE set lower/upper, which certify
     the norm: lower <= ||M|| <= upper after rounding; iterations counts
-    FFT matvecs.
+    the FFT matvecs of the Lanczos start and the power loop together.
     """
 
     value: float
@@ -123,24 +123,51 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
     """Certified norm of the nonnegative symmetric Toeplitz matrix M with
     this first column, in O(n) memory.
 
-    Power iteration from the ones vector, by FFT on a circulant embedding
-    of M padded to a length with no prime factor above 5.  Once the FFT
-    quotients y/x have not narrowed for _STALL matvecs, one direct matvec
-    gives the Collatz-Wielandt bracket min(Mx/x) <= ||M|| <= max(Mx/x),
-    true for any positive x.  Its terms are nonnegative, so barring
-    underflow each quotient is within relative gamma_{n+1} of its exact
-    value (n products summed in any order, one division); the ends are
-    widened by gamma_{2n}, whose surplus covers the rounding of the
-    widening.  value is the Rayleigh quotient, in fsum (no BLAS).  Refused:
-    a non-positive iterate, no stall in _MAX_MATVECS, a spread > gamma_{2n}.
+    Every matvec is an FFT on a circulant embedding of M padded to a length
+    with no prime factor above 5.  A Lanczos run from ones/sqrt(n), fully
+    reorthogonalized twice (CGS2) with einsum reductions (no BLAS), stops on
+    breakdown, at Krylov dimension min(n, 64), or once the Ritz residual
+    |beta_k s_k| <= 1e-2 gamma_{2n} theta_max (checked every 4 steps).  Power
+    iteration starts from |Ritz vector| / max, entrywise no farther from a
+    positive Perron vector.  Once the FFT quotients y/x have not narrowed for
+    _STALL matvecs, one direct matvec gives the Collatz-Wielandt bracket
+    min(Mx/x) <= ||M|| <= max(Mx/x), true for any positive x.  Its terms are
+    nonnegative, so barring underflow each quotient is within relative
+    gamma_{n+1} of its exact value (n products summed in any order, one
+    division); the ends are widened by gamma_{2n}, whose surplus covers the
+    rounding of the widening.  value is the Rayleigh quotient, in fsum (no
+    BLAS).  Refused: a non-positive iterate, no stall in _MAX_MATVECS
+    matvecs (Lanczos and power together), a spread > gamma_{2n}.
     """
 
     n = column.size
     size = next(m for m in range(2 * n - 1, 4 * n) if not (2**63 * 3**40 * 5**27) % m)
     spectrum = np.fft.rfft(np.concatenate([column, np.zeros(size - 2 * n + 1), column[:0:-1]]))
-    x, best, stalled = np.ones(n), math.inf, 0
-    for matvecs in range(1, _MAX_MATVECS + 1):
-        y = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)[:n]
+    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[:n]
+
+    Q, alpha, beta = np.empty((min(n, 64, _MAX_MATVECS), n)), [], []
+    Q[0] = 1.0 / math.sqrt(n)
+    for k in range(len(Q)):
+        w, a = matvec(Q[k]), 0.0
+        for _ in range(2):
+            h = np.einsum("kn,n->k", Q[:k + 1], w)
+            w -= np.einsum("kn,k->n", Q[:k + 1], h)
+            a += h[k]
+        alpha.append(a)
+        beta.append(math.sqrt(np.einsum("n,n->", w, w)))
+        last = beta[k] == 0.0 or k + 1 == len(Q)
+        if last or k % 4 == 3:
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1))
+            if last or beta[k] * abs(S[k, -1]) <= 1e-2 * gamma * theta[-1]:
+                break
+        Q[k + 1] = w / beta[k]
+    x = np.abs(np.einsum("kn,k->n", Q[:k + 1], S[:, -1]))
+    x, best, stalled = x / x.max(), math.inf, 0
+    for matvecs in range(k + 2, _MAX_MATVECS + 1):
+        y = matvec(x)
         if not np.all(y > 0.0):
             raise ContractViolationError(f"power iterate {matvecs} is not positive at size {n}")
         spread = float(np.ptp(y / x))
@@ -149,10 +176,9 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
             break
         x = y / y.max()
     else:
-        raise ContractViolationError(f"no stall in {matvecs} FFT matvecs at size {n}")
+        raise ContractViolationError(f"no stall in {_MAX_MATVECS} FFT matvecs at size {n}")
     direct = np.convolve(x, np.concatenate([column[:0:-1], column]), mode="valid")
     low, high = float(np.min(direct / x)), float(np.max(direct / x))
-    gamma = 2 * n * 2.0 ** -53 / (1.0 - 2 * n * 2.0 ** -53)
     if high - low > gamma * high:
         raise ContractViolationError(f"direct quotients spread wider than gamma_2n at size {n}")
     value = math.fsum(x * y) / math.fsum(x * x)

@@ -1106,6 +1106,17 @@ def _child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def test_schur_growth_output_does_not_depend_on_blas_threads():
+    """The printed norm comes from FFT matvecs, einsum reductions and fsum,
+    so one BLAS thread and two print the same bytes."""
+    command = [sys.executable, "-m", "covnoise.cli", "schur-growth", "--r", "5555,19999"]
+    runs = [subprocess.run(command, capture_output=True, text=True, timeout=120,
+                           env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def _readme_command_lines() -> list[str]:
     """The covnoise lines of the sh block under the README's "## Command line"."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

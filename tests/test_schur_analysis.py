@@ -164,15 +164,16 @@ def _half_circle_section(r):
 
 
 def test_dense_norm_inside_toeplitz_bracket():
-    """The dense eigensolve of the r = 55 section, a real symmetric matrix
-    solved in float64, lands inside the certified bracket of the
-    FFT power-iteration path."""
-    section = _half_circle_section(55)
-    assert section.dtype == np.float64
-    dense = cn.operator_norm(section)
-    certified = cn.modulus_growth_table((55,))[0].estimate
-    assert dense.method is cn.NormMethod.HERMITIAN_EIGEN
-    assert certified.lower <= dense.value <= certified.upper
+    """The dense eigensolves of the r = 55 and r = 555 sections, real
+    symmetric matrices solved in float64, land inside the certified bracket
+    of the FFT Lanczos-started power-iteration path."""
+    for r in (55, 555):
+        section = _half_circle_section(r)
+        assert section.dtype == np.float64
+        dense = cn.operator_norm(section)
+        certified = cn.modulus_growth_table((r,))[0].estimate
+        assert dense.method is cn.NormMethod.HERMITIAN_EIGEN
+        assert certified.lower <= dense.value <= certified.upper
 
 
 def test_row_sum_bounds_sandwich_norm():
@@ -275,6 +276,49 @@ def test_toeplitz_norm_refuses_at_the_matvec_cap(monkeypatch):
     monkeypatch.setattr(schur_analysis, "_MAX_MATVECS", 20)
     with pytest.raises(ContractViolationError, match="no stall in 20 FFT matvecs"):
         cn.modulus_growth_table((55,))
+
+
+def test_toeplitz_norm_cap_counts_lanczos_and_power_matvecs(monkeypatch):
+    """The cap covers both phases: caps of 1 and 4 end inside the Lanczos
+    run, one below the need ends in the power loop, and the need itself
+    gives the uncapped estimate.  A refusal has run exactly cap matvecs
+    (one inverse FFT each)."""
+    column = _half_circle_column(55)
+    full = schur_analysis._toeplitz_perron_norm(column)
+    monkeypatch.setattr(schur_analysis, "_MAX_MATVECS", full.iterations)
+    assert schur_analysis._toeplitz_perron_norm(column) == full
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: calls.append(1) or irfft(*args))
+    for cap in (1, 4, full.iterations - 1):
+        monkeypatch.setattr(schur_analysis, "_MAX_MATVECS", cap)
+        calls.clear()
+        with pytest.raises(ContractViolationError, match=f"no stall in {cap} FFT matvecs"):
+            schur_analysis._toeplitz_perron_norm(column)
+        assert len(calls) == cap
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column", [[0.5], [0.75, 0.25], np.ones(4), np.ones(7),
+                                    _half_circle_column(5)],
+                         ids=["one-entry", "two-entry", "ones-4", "ones-7", "r5"])
+def test_toeplitz_norm_certifies_below_the_krylov_cap(column):
+    """Sizes below the Krylov cap of 64, some with the start vector ones an
+    exact eigenvector (beta_0 = 0 in exact arithmetic, and in floating point
+    too for ones(4)): the Lanczos run stops without dividing by beta = 0 and
+    the bracket contains the dense top eigenvalue."""
+    column = np.asarray(column, dtype=np.float64)
+    index = np.arange(column.size)
+    top = np.linalg.eigvalsh(column[np.abs(np.subtract.outer(index, index))])[-1]
+    est = schur_analysis._toeplitz_perron_norm(column)
+    assert est.lower <= top <= est.upper
+    assert est.lower <= est.value <= est.upper
+
+
+@pytest.mark.parametrize("r", [555, 1451, 2451])
+def test_toeplitz_norm_matvec_count(r):
+    """A Lanczos Ritz vector starts the power loop near the Perron vector,
+    so the solve takes at most 64 FFT matvecs in all (a count, not a time)."""
+    assert schur_analysis._toeplitz_perron_norm(_half_circle_column(r)).iterations <= 64
 
 
 def test_toeplitz_norm_refuses_a_wide_certificate(monkeypatch):
