@@ -161,7 +161,7 @@ class StructureMatrix:
 
 def constant_one(domain: IndexDomain) -> StructureMatrix:
     def entry(n, m):
-        return np.ones(np.broadcast_shapes(np.shape(n), np.shape(m)), dtype=np.complex128)[()]
+        return np.ones(np.broadcast(n, m).shape, dtype=np.complex128)[()]
 
     def difference(q):
         return np.ones(np.shape(q), dtype=np.complex128)[()]

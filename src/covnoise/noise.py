@@ -19,11 +19,11 @@ convergence check.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,10 @@ MAX_ORDER = 622
 # offsets per side in one block of a row sum: 2^14 zigzag indices, 16 Philox blocks
 _CHUNK = 1 << 13
 _UNIT = 2.0**-53
+# the near block of every row: offsets 1.._CHUNK and their 1/j^2, read-only
+_NEAR_OFFSETS = np.arange(1, _CHUNK + 1)
+_NEAR_INVERSE_SQUARES = 1.0 / (_NEAR_OFFSETS.astype(float) ** 2)
+_NEAR_OFFSETS.flags.writeable = _NEAR_INVERSE_SQUARES.flags.writeable = False
 # above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
 _LATTICE_BOUND = 3.3
 
@@ -141,8 +145,7 @@ def _class_tail(after: int, s: int, p: int) -> tuple[float, float]:
     return lo / p**2, hi / p**2
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """How one row bracket is made.
 
     Offsets j = 1..up above n and j = 1..down below n are summed from the
@@ -162,17 +165,35 @@ class _Plan:
         return self.up + self.down
 
 
-def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
-    """The bracket plan for row n with a head reaching up offsets above n
-    and down offsets below it.
+_Row = NamedTuple("_Row", [("n", int), ("end", "int | None"), ("p", int), ("above", tuple),
+                           ("below", tuple), ("ref", float), ("coeff", float), ("fixed", int)])
+
+
+def _row(A: StructureMatrix, n: int, l: int) -> _Row:
+    """What no cutoff changes in the plans of row n at order l: per side of n,
+    (s, w_lo, w_hi, b_lo, b_hi) for each residue class s of the offset, the
+    bounds of its weight w^l (a declared profile gives it; a row without one
+    is one class, p = 1, whose weight lies in [0, 1], from |A| <= 1) and of
+    its tail past the end of the row below n (index 0 on the naturals; b = 0
+    where there is no end); then (pi/sqrt 3)^l, c(l) and 5l + 2p + 40."""
+    profile, end = A.profile, n if A.domain is IndexDomain.NATURALS else None
+    p = 1 if profile is None else profile.period
+    above, below = [], []
+    for s in range(p):
+        w = [(0.0, 1.0) if profile is None else (profile.weight(n, t) ** l,) * 2 for t in (s, -s)]
+        above.append((s, *w[0], 0.0, 0.0))
+        below.append((s, *w[1], *((0.0, 0.0) if end is None else _class_tail(end, s, p))))
+    return _Row(n, end, p, tuple(above), tuple(below), _REF_BASE**l, _tail_coefficient(l),
+                5 * l + 2 * p + 40)
+
+
+def _row_plan(row: _Row, up: int, down: int) -> _Plan:
+    """The bracket plan of a row (see _row) summing up offsets above n and down below it.
 
     Per direction and residue class s of the offset, the tail is
     w^l * zeta(2, a)/p^2, enclosed by Euler-Maclaurin; on the naturals the
     segment below n past the head is the difference of two such tails.  A
-    declared profile gives each class its weight w^l; a row without one is
-    one class (p = 1) whose weight is only known to lie in [0, 1], from
-    |A| <= 1.  A side whose head reaches the end of the row (index 0 on the
-    naturals) has no tail.
+    side whose head reaches the end of the row has no tail.
 
     The rounding allowance is gamma_N times the largest magnitude in play,
     N = head block length + 5l + 2p + 40: it covers the head sum (any
@@ -181,27 +202,18 @@ def _row_plan(A: StructureMatrix, n: int, l: int, up: int, down: int) -> _Plan:
     subtraction from the reference moment.
     """
 
-    profile = A.profile
-    p = 1 if profile is None else profile.period
-    below_end = n if A.domain is IndexDomain.NATURALS else None
     lo = hi = mag = 0.0
-    for sign, reach, end in ((1, up, None), (-1, down, below_end)):
-        if end is not None and end <= reach:
-            continue
-        for s in range(p):
-            w_lo, w_hi = (0.0, 1.0) if profile is None else (profile.weight(n, sign * s) ** l,) * 2
-            a_lo, a_hi = _class_tail(reach, s, p)
-            # on the naturals the class stops at offset n (index 0)
-            b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
+    below = row.below if row.end is None or down < row.end else ()
+    for reach, classes in ((up, row.above), (down, below)):
+        for s, w_lo, w_hi, b_lo, b_hi in classes:
+            a_lo, a_hi = _class_tail(reach, s, row.p)
             lo += w_lo * (a_lo - b_hi)
             hi += w_hi * (a_hi - b_lo)
             mag += w_hi * (a_hi + b_hi)
-    ref = _REF_BASE**l
-    coeff = _tail_coefficient(l)
     block = min(max(up, down), _CHUNK)
-    slack = _gamma(block + 5 * l + 2 * p + 40) * (ref + coeff * (_LATTICE_BOUND + 2.0 * mag))
-    spread = coeff * (hi - lo) + 2.0 * slack
-    width = spread * (1.0 + 8.0 * _UNIT) + 8.0 * math.ulp(ref + spread)
+    slack = _gamma(block + row.fixed) * (row.ref + row.coeff * (_LATTICE_BOUND + 2.0 * mag))
+    spread = row.coeff * (hi - lo) + 2.0 * slack
+    width = spread * (1.0 + 8.0 * _UNIT) + 8.0 * math.ulp(row.ref + spread)
     return _Plan(up, down, (lo, hi), slack, width)
 
 
@@ -229,22 +241,24 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
     run.  The search first tries the last cutoff found for A at the same
     order and tolerance: if it fits within the term cap and the cutoff
     below it does not, it starts that run and is the answer.  Otherwise
-    doubling finds a cutoff that fits, or the term cap, or the rising
-    side (then a scan finds the narrowest plan); bisection then finds the
-    smallest cutoff that fits.  Either way the cutoff is the same, and
-    each plan is made at most once per search.  A tolerance that no
-    cutoff within the cap meets is refused with the smallest width that
-    is achievable; an index outside the domain of A is refused first.
+    doubling from one period of the profile (1 without one) finds a cutoff
+    that fits, or the term cap, or the rising side (then a scan finds the
+    narrowest plan); bisection then finds the smallest cutoff that fits.
+    Either way the cutoff is the same.  A search makes the row's cutoff-free
+    parts once (_row) and each plan at most once.  A tolerance no cutoff
+    within the cap meets is refused with the smallest achievable width; an
+    index outside the domain of A is refused first.
     """
 
     if not A.domain.contains(q.n):
         raise UsageError(f"index {q.n} is not in the {A.domain.name.lower()}; addressable "
                          f"indices have |n| < 2^61")
+    row, made = _row(A, q.n, q.l), {}
 
-    @functools.cache
     def plan(k: int) -> _Plan:
-        # on the naturals the segment below n past k is enclosed, so a row costs O(k) terms
-        return _row_plan(A, q.n, q.l, k, k if A.domain is IndexDomain.INTEGERS else min(k, q.n))
+        if k not in made:  # on the naturals the segment below n past k is enclosed: O(k) terms
+            made[k] = _row_plan(row, k, k if row.end is None else min(k, row.end))
+        return made[k]
 
     cap = DEFAULT_TERM_CAP
     found = _LAST_CUTOFF.setdefault(A, {})
@@ -284,22 +298,23 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
 
     Offsets are taken in blocks of _CHUNK a side from the far end of the
     row inward, both sides of a block in one oracle call: sides that share
-    per-index data (on the integers, seeded values drawn in blocks of
-    zigzag indices) fetch it once, and the first fetch that reaches the
-    cached indices draws every cached value the row needs.  Each side of a
-    block is summed by numpy and the sums are combined with exact
-    compensated addition, so the result does not depend on the order of
-    the blocks.
+    per-index data (on the integers, seeded values drawn in blocks of zigzag
+    indices) fetch it once, and the first fetch that reaches the cached
+    indices draws every cached value the row needs.  The block from offset 1
+    reads its offsets and 1/j^2 from a shared read-only table.  Each side is
+    summed by np.add.reduce and the sums are combined with exact compensated
+    addition, so the result does not depend on the order of the blocks.
     """
 
     pieces: list[float] = []
     reach = max(up, down)
     for start in reversed(range(1, reach + 1, _CHUNK)):
-        js = np.arange(start, min(start + _CHUNK, reach + 1))
+        stop = min(start + _CHUNK, reach + 1)
+        js = _NEAR_OFFSETS[:stop - 1] if start == 1 else np.arange(start, stop)
+        inv = _NEAR_INVERSE_SQUARES if start == 1 else 1.0 / (js.astype(float) ** 2)
         u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
         got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
-        inv = 1.0 / (js.astype(float) ** 2)
-        pieces += [float(np.sum(m**l * inv[:m.size]))
+        pieces += [float(np.add.reduce(m**l * inv[:m.size]))
                    for m in (got[:u.size], got[u.size:]) if m.size]
     return math.fsum(pieces)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (_TILE, IndexDomain, IndexWindow, StructureMatrix, _check_truncation,
                        hermitian_defect, truncate, window_cap)
-from .noise import _head_sum, _row_plan, reference_moment
+from .noise import _head_sum, _row, _row_plan, reference_moment
 
 TWO_PI = 2.0 * math.pi
 
@@ -342,6 +342,6 @@ def noise_operator_diagonal(A: StructureMatrix, n: int,
     if abs(A.entry(n, n) - 1.0) > 1e-12:
         raise UsageError(f"{A.label} is not normalized at {n}")
     up, down = w.hi - n, n - w.lo
-    plan = _row_plan(A, n, 2, up, down)
+    plan = _row_plan(_row(A, n, 2), up, down)
     value = reference_moment(2) - _head_sum(A, n, 2, up, down)
     return value, math.nextafter(plan.tail[1] + plan.slack, math.inf)

@@ -545,8 +545,9 @@ def test_a_guessed_search_returns_the_plan_of_a_search_from_scratch():
                 k = cold.up
                 assert noise._LAST_CUTOFF[A] == {(l, tol): k}
             elif "term cap" in cold[0]:  # the smallest cutoff that fits once the cap is set aside
+                row = noise._row(A, n, l)
                 k = noise._first(0, 2**62, lambda j: noise._row_plan(
-                    A, n, l, j, j if A.domain is Z else min(j, n)).width <= tol)
+                    row, j, j if A.domain is Z else min(j, n)).width <= tol)
             else:
                 k = int(rng.integers(2, 100))
             for guess in {1, max(k - 1, 1), k, k + 1, 2 * k + 3, int(rng.integers(1, 10**4)),
@@ -583,10 +584,99 @@ def test_a_run_of_rows_is_planned_from_the_last_cutoff(monkeypatch):
     17 and 16, where a search from scratch made 12 a row."""
     planned = []
     real = noise._row_plan
-    monkeypatch.setattr(noise, "_row_plan", lambda *args: planned.append(args[1]) or real(*args))
+    monkeypatch.setattr(noise, "_row_plan", lambda *args: planned.append(args[0].n) or real(*args))
     seq = cn.noise_sequence(cn.constant_one(N), 2, cn.IndexWindow(79, 82), 1e-10)
     assert [v.cutoff for v in seq] == [17] * 4
     assert collections.Counter(planned) == {79: 11, 80: 2, 81: 2, 82: 2}
+
+
+def _one_shot_row_plan(A, n, l, up, down):
+    """The plan of row n made in one pass from A, n and l, every part
+    recomputed: the bits noise._row and noise._row_plan must reproduce.
+    (up, down, tail ends, slack, width), the floats as float.hex."""
+    profile = A.profile
+    p = 1 if profile is None else profile.period
+    below_end = n if A.domain is N else None
+    lo = hi = mag = 0.0
+    for sign, reach, end in ((1, up, None), (-1, down, below_end)):
+        if end is not None and end <= reach:
+            continue
+        for s in range(p):
+            w_lo, w_hi = (0.0, 1.0) if profile is None else (profile.weight(n, sign * s) ** l,) * 2
+            a_lo, a_hi = _class_tail(reach, s, p)
+            b_lo, b_hi = (0.0, 0.0) if end is None else _class_tail(end, s, p)
+            lo += w_lo * (a_lo - b_hi)
+            hi += w_hi * (a_hi - b_lo)
+            mag += w_hi * (a_hi + b_hi)
+    ref = (math.pi / math.sqrt(3.0))**l
+    coeff = ref * 3.0 / math.pi**2
+    block = min(max(up, down), noise._CHUNK)
+    slack = _gamma(block + 5 * l + 2 * p + 40) * (ref + coeff * (noise._LATTICE_BOUND + 2.0 * mag))
+    spread = coeff * (hi - lo) + 2.0 * slack
+    width = spread * (1.0 + 8.0 * noise._UNIT) + 8.0 * math.ulp(ref + spread)
+    return up, down, lo.hex(), hi.hex(), slack.hex(), width.hex()
+
+
+def _plan_bits(plan):
+    return plan.up, plan.down, plan.tail[0].hex(), plan.tail[1].hex(), plan.slack.hex(), \
+        plan.width.hex()
+
+
+def test_row_plans_have_the_bits_of_the_one_shot_formula(monkeypatch):
+    """Every plan made from a row's cutoff-free parts has the bits of the
+    plan made in one pass: on every kind of row, at the plans the search
+    makes (below the rounding floor and past the term cap included) and at
+    cutoffs across the tail-dominated run, the rising floor side, the end
+    of the row on N, the near block's edge and just past the term cap, with
+    heads of equal sides and of sides three times longer above or below."""
+    rng = np.random.default_rng(29)
+    cap = noise.DEFAULT_TERM_CAP
+    made = []
+    real = noise._row_plan
+    monkeypatch.setattr(noise, "_row_plan",
+                        lambda row, up, down: made.append(real(row, up, down)) or made[-1])
+    r = int(rng.integers(0, 10**3))
+    for A in _search_matrices(rng):
+        for n, l in itertools.product((0, 1, 57, 10**6 + r), (1, 2, 4, 622)):
+            made.clear()
+            for tol in (1e-2, 1e-10, 1e-18):
+                _search(A, cn.NoiseQuery(n, l, tol), None)
+            row = noise._row(A, n, l)
+            assert row.n == n
+            ks = set(range(1, 25)) | {2**i + d for i in range(5, 27) for d in (-1, 0, 1)}
+            ks |= {noise._CHUNK + d for d in (-1, 0, 1)} | {max(n + d, 1) for d in (-1, 0, 1)}
+            ks |= {cap // 2 + 1, cap - n + 1} if A.domain is N else {cap // 2, cap // 2 + 1}
+            for k in sorted(ks):  # the search's heads, and the uneven ones of noise diagonals
+                for up, down in ((k, k), (k, k // 3), (k // 3, k)):
+                    noise._row_plan(row, up, down if A.domain is Z else min(down, n))
+            assert len(made) > 3 * len(ks)
+            for plan in made:
+                assert _plan_bits(plan) == _one_shot_row_plan(A, n, l, plan.up, plan.down), \
+                    (A.label, n, l, plan.up, plan.down)
+
+
+def test_the_near_block_table_is_read_only():
+    """Every row's near block reads the same offsets and 1/j^2, so no
+    caller may write them."""
+    for table in (noise._NEAR_OFFSETS, noise._NEAR_INVERSE_SQUARES):
+        assert table.size == noise._CHUNK and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 2
+
+
+@pytest.mark.parametrize("reach", [1, 2, noise._CHUNK - 1, noise._CHUNK, noise._CHUNK + 1])
+@pytest.mark.parametrize("domain", [N, Z])
+def test_head_sums_from_the_near_block_table_match_one_call_per_chunk(reach, domain):
+    """Heads whose near block reads the shared table keep the bits of heads
+    whose every block computes its own offsets: reaches at the edges of one
+    block, the longer side above n or below it, on every builder."""
+    n = reach + 3
+    for name, build in _BUILDERS.items():
+        A = build(domain)
+        for (up, down), l in itertools.product(((reach, reach // 2), (reach // 3, reach)), (1, 4)):
+            assert up != down
+            assert noise._head_sum(A, n, l, up, down).hex() == \
+                _one_call_per_chunk_head_sum(A, n, l, up, down).hex(), (name, up, down, l)
 
 
 def _row_results(A, domain, reach, tol):
