@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import re
@@ -37,6 +38,7 @@ _CONFIG_KEYS = ("matrix", "tolerance", "window", "format", "seed")
 MAX_LIST_LENGTH = 1_000_000
 # No option starts with a digit, so "-" and a digit opens a value: --n -3:2.
 _NEGATIVE_VALUE = re.compile(r"^-\d")
+_parser = functools.cache(lambda: _build_parser()[0])  # built on first use, never changed
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -102,9 +104,9 @@ def _config_number(field: str, value, kind: type):
 
 
 def _config_defaults(source: str) -> dict:
-    """The --config file's values as parser defaults, in the form the
-    matching flags take.  Every value is checked in full here, whichever
-    subcommand runs and whatever flags override it."""
+    """The --config file's values, which main gives to the options no flag
+    set, in the form the matching flags take.  Every value is checked in
+    full here, whichever subcommand runs and whatever flags override it."""
     data = _load_json(source)
     unknown = [key for key in data if key not in _CONFIG_KEYS]
     if unknown:
@@ -469,14 +471,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, func, **reads) -> argparse.ArgumentParser:
-        # reads maps each shared option read, --tol as tol, to its default
+        # reads maps each shared option read, --tol as tol, to its built-in default
         sp = sub.add_parser(name, help=summary)
         sp._negative_number_matcher = _NEGATIVE_VALUE
         for flag, kwargs in _SHARED_OPTIONS.items():
             dest = flag[2:]
             if dest in ("config", "out") or dest in reads:
-                sp.add_argument(flag, default=reads.get(dest), **kwargs)
-        sp.set_defaults(func=func)
+                sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func, builtin=reads)
         return sp
 
     sp = command("noise-table", "tabulate noise brackets over n and l", cmd_noise_table,
@@ -521,14 +523,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.config is not None:
-            commands[args.command].set_defaults(**_config_defaults(args.config))
-            args = parser.parse_args(argv)
+        config = {} if args.config is None else _config_defaults(args.config)
+        vars(args).update({dest: value for dest, value in {**args.builtin, **config}.items()
+                           if getattr(args, dest) is None})  # None: no flag gave it
         _check_inputs(args)
-        pieces, code = args.func(args)
+        pieces, code = globals()[args.func.__name__](args)  # by name: a patched cmd_* runs
         _write(pieces, args.out)
         return code
     except UsageError as exc:

@@ -85,9 +85,10 @@ def operator_norm(M: np.ndarray) -> NormEstimate:
             or hermitian_defect(M) > 1e-12):
         raise UsageError("operator norm needs a nonempty, square and finite array that is "
                          f"Hermitian to 1e-12, got shape {M.shape}")
-    H = M + M.conj().T
-    H /= 2.0  # exactly Hermitian: the centrohermitian test reads conj(H) as H.T
-    solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.T) else np.linalg.eigvalsh
+    H = M.T.conj()  # one new array; M added into it gives the bits of M + M^H
+    H += M
+    H /= 2.0  # exactly Hermitian: the centrohermitian test reads H.T as conj(H)
+    solve = _real_form_eigenvalues if np.array_equal(H[::-1, ::-1], H.conj()) else np.linalg.eigvalsh
     return NormEstimate(float(np.max(np.abs(solve(H)))), NormMethod.HERMITIAN_EIGEN, 0)
 
 
@@ -129,14 +130,15 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
     breakdown, at Krylov dimension min(n, 64), or once the Ritz residual
     |beta_k s_k| <= 1e-2 gamma_{2n} theta_max (checked every 4 steps).  Power
     iteration starts from |Ritz vector| / max, entrywise no farther from a
-    positive Perron vector.  Once the FFT quotients y/x have not narrowed for
-    _STALL matvecs, one direct matvec gives the Collatz-Wielandt bracket
-    min(Mx/x) <= ||M|| <= max(Mx/x), true for any positive x.  Its terms are
-    nonnegative, so barring underflow each quotient is within relative
-    gamma_{n+1} of its exact value (n products summed in any order, one
-    division); the ends are widened by gamma_{2n}, whose surplus covers the
-    rounding of the widening.  value is the Rayleigh quotient, in fsum (no
-    BLAS).  Refused: a non-positive iterate, no stall in _MAX_MATVECS
+    positive Perron vector, and stops after two matvecs or more once the FFT
+    quotients y/x spread by at most their rounding log2(size) u max(y), or
+    have not narrowed for _STALL.  One direct matvec then gives the Collatz-
+    Wielandt bracket min(Mx/x) <= ||M|| <= max(Mx/x), true for any positive
+    x.  Its terms are nonnegative, so barring underflow each quotient is
+    within relative gamma_{n+1} of its exact value (n products summed in any
+    order, one division); the ends are widened by gamma_{2n}, whose surplus
+    covers the rounding of the widening.  value is the Rayleigh quotient, in
+    fsum (no BLAS).  Refused: a non-positive iterate, no stop in _MAX_MATVECS
     matvecs (Lanczos and power together), a spread > gamma_{2n}.
     """
 
@@ -172,7 +174,7 @@ def _toeplitz_perron_norm(column: np.ndarray) -> NormEstimate:
             raise ContractViolationError(f"power iterate {matvecs} is not positive at size {n}")
         spread = float(np.ptp(y / x))
         best, stalled = (spread, 0) if spread < best else (best, stalled + 1)
-        if stalled == _STALL:
+        if stalled == _STALL or matvecs > k + 2 and spread <= math.log2(size) * 2**-53 * y.max():
             break
         x = y / y.max()
     else:
@@ -242,34 +244,40 @@ def modulus_growth_table(r_values) -> list[GrowthRecord]:
 
 
 def sylvester_hadamard(p: int) -> np.ndarray:
-    """2^p Sylvester-Hadamard matrix by doubling [[1,1],[1,-1]]."""
+    """2^p Sylvester-Hadamard matrix: each G = H[:m, :m] doubled in place."""
     if not 1 <= p <= 12:
         raise UsageError(f"doubling order must be in [1, 12], got {p}")
-    H = np.array([[1.0, 1.0], [1.0, -1.0]])
-    for _ in range(p - 1):
-        H = np.block([[H, H], [H, -H]])
+    H = np.empty((2**p, 2**p))
+    H[0, 0] = 1.0
+    for m in [2**k for k in range(p)]:
+        H[:m, m:2 * m] = H[m:2 * m, :m] = H[:m, :m]
+        np.negative(H[:m, :m], out=H[m:2 * m, m:2 * m])
     return H
 
 
 def sylvester_hadamard_example(p: int) -> tuple[np.ndarray, NormEstimate, NormEstimate]:
     """Normalized Sylvester matrix A_p = H / s, s = fl(2^(p/2)), with the
     norms of A_p (about 1) and of |A_p| (about 2^(p/2)), certified by
-    structure: H must be +-1 with H H^T = 2^p I (its diagonal the only
-    nonzeros, exact in float64), else ContractViolationError.  A_p = r H
-    exactly, r = fl(1/s), so ||A_p|| = r 2^(p/2), bracketed one nextafter
-    outward per rounding in fl(r s), and || |A_p| || = r 2^p, a float."""
+    structure in O(4^p) exact comparisons: H[0, 0] = 1 and each H[:2m, :2m]
+    is [[G, G], [G, -G]], G = H[:m, :m], else ContractViolationError; by
+    induction H is +-1 with H H^T = 2^p I.  A_p = r H exactly, r = fl(1/s),
+    scaled in place: ||A_p|| = r 2^(p/2), bracketed one nextafter outward
+    per rounding in fl(r s), and || |A_p| || = r 2^p, a float."""
 
     H = sylvester_hadamard(p)
-    if not np.all(np.abs(H) == 1.0) or np.count_nonzero(H @ H.T) != H.shape[0]:
+    if H.shape != (2**p, 2**p) or H[0, 0] != 1.0 or not all(
+            np.array_equal(H[:m, m:2 * m], H[:m, :m]) and np.array_equal(H[m:2 * m, :m], H[:m, :m])
+            and np.array_equal(H[m:2 * m, m:2 * m], -H[:m, :m]) for m in [2**k for k in range(p)]):
         raise ContractViolationError(f"the doubling of order {p} is not a Hadamard matrix")
     s = math.sqrt(2.0 ** p)
     r = 1.0 / s
+    H *= r
     value = lower = upper = r * s
     for _ in range(2 * (p % 2)):  # s and r s are exact for even p
         lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)
     norm = NormEstimate(value, NormMethod.STRUCTURE, 0, lower, upper)
     modulus = r * 2.0 ** p
-    return H / s, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, modulus, modulus)
+    return H, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, modulus, modulus)
 
 
 @dataclass(frozen=True)

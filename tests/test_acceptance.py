@@ -392,14 +392,15 @@ def test_operator_dump_wall_clock(tmp_path):
 
 def test_dense_norm_wall_clock(tmp_path):
     """hadamard --p-max 10 stays inside its budget.  There are no dense
-    solves: each block up to side 1024 is built, checked by one exact
-    product H H^T and divided by fl(2^(p/2)), and both norms are read off
-    that structure, about 0.05 s in all (2-CPU machine); the twenty
-    float64 eigensolves this replaced took about 0.3 s.  One untimed
-    p = 8 block first, since the first threaded BLAS call of a process
-    can stall for about a second while its threads start; the best of
-    three runs is timed, so a burst of load on a shared machine does not
-    decide the result."""
+    solves: each block up to side 1024 is doubled in place, certified by
+    exact comparisons of its doubling blocks (O(4^p), no product H H^T)
+    and scaled by fl(1/fl(2^(p/2))), and both norms are read off that
+    structure, about 0.02 s in all (2-CPU machine); the twenty float64
+    eigensolves of an earlier version took about 0.3 s.  One untimed
+    p = 8 block first, a warm-up kept from when the check was a BLAS
+    product (the first threaded BLAS call of a process can stall for about
+    a second while its threads start); the best of three runs is timed, so
+    a burst of load on a shared machine does not decide the result."""
     from covnoise.cli import main
 
     cn.sylvester_hadamard_example(8)

@@ -164,6 +164,31 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
             assert run_cli(capsys, command, *own, "--config", str(path_b)) != by_flag
 
 
+def test_one_parser_serves_every_call_and_keeps_no_config(tmp_path, capsys, monkeypatch,
+                                                          request):
+    """main builds its parser once, on first use, and never changes it: a
+    run with --config leaves the built-in defaults of a later plain run of
+    the same subcommand alone, and a cmd_* patched after the parser was
+    built is the handler that runs."""
+    builds, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
+    config = tmp_path / "run.json"
+    for command, (own, options) in PRECEDENCE_CASES.items():
+        plain = run_cli(capsys, command, *own)
+        assert plain[0] in (0, 1) and plain[2] == "", (command, plain)
+        for option, ((key, value, _), _) in options.items():
+            config.write_text(json.dumps({key: value}))
+            assert run_cli(capsys, command, *own, "--config", str(config)) != plain
+            assert run_cli(capsys, command, *own) == plain, (command, option)
+    assert builds == [1]
+
+    monkeypatch.setattr(cli, "cmd_hadamard", lambda args: (["patched %d\n" % args.p_max], 0))
+    assert run_cli(capsys, "hadamard", "--p-max", "3") == (0, "patched 3\n", "")
+    assert builds == [1]
+
+
 @pytest.mark.parametrize("data, field", [
     ({"seed": "x"}, "seed"),
     ({"tolerance": "abc"}, "tolerance"),

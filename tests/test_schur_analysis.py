@@ -314,11 +314,19 @@ def test_toeplitz_norm_certifies_below_the_krylov_cap(column):
     assert est.lower <= est.value <= est.upper
 
 
-@pytest.mark.parametrize("r", [555, 1451, 2451])
-def test_toeplitz_norm_matvec_count(r):
+# FFT matvecs of the Lanczos start and the power loop together, by section order
+MATVECS = {5: 6, 555: 35, 1451: 44, 2451: 40, 19999: 47}
+
+
+@pytest.mark.parametrize("r, count", MATVECS.items(), ids=map(str, MATVECS))
+def test_toeplitz_norm_matvec_count(r, count):
     """A Lanczos Ritz vector starts the power loop near the Perron vector,
-    so the solve takes at most 64 FFT matvecs in all (a count, not a time)."""
-    assert schur_analysis._toeplitz_perron_norm(_half_circle_column(r)).iterations <= 64
+    and the loop stops once the FFT quotients spread by at most
+    log2(size) u max(y) after two or more power matvecs: the counts are
+    pinned (counts, not times), and the certificate still holds."""
+    est = schur_analysis._toeplitz_perron_norm(_half_circle_column(r))
+    assert est.iterations == count
+    assert est.lower <= est.value <= est.upper
 
 
 def test_toeplitz_norm_refuses_a_wide_certificate(monkeypatch):
@@ -375,17 +383,20 @@ def test_sylvester_construction():
         cn.sylvester_hadamard(13)
 
 
-def _flip_one_sign(monkeypatch):
-    """sylvester_hadamard with the sign of one entry, off the first row
-    and column, flipped: still +-1, no longer orthogonal."""
-    real = schur_analysis.sylvester_hadamard
+_SYLVESTER = schur_analysis.sylvester_hadamard
 
-    def flipped(p):
-        H = real(p)
-        H[-1, 1] = -H[-1, 1]
+
+def _mutate_block(monkeypatch, p, index, change):
+    """sylvester_hadamard with entry index of order p changed; other
+    orders are left as they are."""
+    def mutated(order):
+        H = _SYLVESTER(order)
+        if order == p:
+            H[index] = change(H[index])
         return H
 
-    monkeypatch.setattr(schur_analysis, "sylvester_hadamard", flipped)
+    monkeypatch.setattr(schur_analysis, "sylvester_hadamard", mutated)
+    return mutated(p)
 
 
 @pytest.mark.parametrize("p", range(1, 12))
@@ -408,7 +419,60 @@ def test_sylvester_norms_are_certified_by_structure(monkeypatch, capsys, p):
     assert norm.lower <= norm.value <= norm.upper
     assert (norm.lower == norm.upper == 1.0) == (p % 2 == 0)
     assert norm.upper - norm.lower <= 4 * 2.0**-52
-    _flip_one_sign(monkeypatch)
+    _mutate_block(monkeypatch, p, (-1, 1), lambda v: -v)  # off the first row and column
+    with pytest.raises(ContractViolationError, match="not a Hadamard matrix"):
+        cn.sylvester_hadamard_example(p)
+    assert main(["hadamard", "--p-max", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("check failed:")
+
+
+def _product_certifies(H):
+    """The product certificate the doubling blocks replaced: +-1 entries,
+    and H H^T with its diagonal the only nonzeros (exact in float64)."""
+    return bool(np.all(np.abs(H) == 1.0)) and np.count_nonzero(H @ H.T) == H.shape[0]
+
+
+_CHANGES = {"sign": lambda v: -v, "ulp": lambda v: math.nextafter(v, math.inf)}
+
+
+@pytest.mark.parametrize("change", _CHANGES, ids=list(_CHANGES))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_every_changed_entry_fails_the_doubling_certificate(monkeypatch, p, change):
+    """Each entry of small Sylvester matrices, its sign flipped or moved by
+    one ulp, is refused by the doubling checks, as by the product."""
+    size = 2**p
+    assert _product_certifies(schur_analysis.sylvester_hadamard(p))
+    for index in np.ndindex(size, size):
+        H = _mutate_block(monkeypatch, p, index, _CHANGES[change])
+        assert not _product_certifies(H)
+        with pytest.raises(ContractViolationError, match="not a Hadamard matrix"):
+            cn.sylvester_hadamard_example(p)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0, 1.0 + 2.0**-52])
+def test_a_doubling_from_a_wrong_origin_fails_the_certificate(monkeypatch, scale):
+    """Every doubling block can agree while the origin is wrong: scaled
+    copies of H pass the block checks, and H[0, 0] = 1 refuses them."""
+    monkeypatch.setattr(schur_analysis, "sylvester_hadamard", lambda p: scale * _SYLVESTER(p))
+    for p in (1, 4):
+        assert not _product_certifies(schur_analysis.sylvester_hadamard(p))
+        with pytest.raises(ContractViolationError, match="not a Hadamard matrix"):
+            cn.sylvester_hadamard_example(p)
+
+
+@pytest.mark.parametrize("index", [(0, 0), (1, 1), (0, 1023), (1023, 0), (1023, 1023)],
+                         ids=["deepest-00", "deepest-11", "top-right", "top-bottom-left",
+                              "top-bottom-right"])
+def test_a_flipped_entry_deep_or_at_the_top_exits_1(monkeypatch, capsys, index):
+    """One sign of the order-10 matrix flipped in its deepest block (the
+    2 x 2 at the origin) or in one of its three top-level blocks: the
+    product H H^T refuses it, sylvester_hadamard_example raises and
+    hadamard exits 1 with no report."""
+    from covnoise.cli import main
+
+    p = 10
+    assert not _product_certifies(_mutate_block(monkeypatch, p, index, lambda v: -v))
     with pytest.raises(ContractViolationError, match="not a Hadamard matrix"):
         cn.sylvester_hadamard_example(p)
     assert main(["hadamard", "--p-max", str(p)]) == 1
