@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError, UsageError
 from .matrices import (IndexDomain, IndexWindow, StructureMatrix, _default_window, constant_one,
                        matrix_from_spec)
-from .noise import (NoiseQuery, _moment, _noise, _plan_all, _plan_samples,
-                    asymptotic_noise_estimate, noise_value)
+from .noise import NoiseQuery, _brackets, _estimates
+from .noise import noise_value  # not called here: perfbench's tracer wraps cli.noise_value
 from .observables import (IntervalSet, angle_from_string, covariance_defect, moment_operator,
                           noise_operator_diagonal, observable_operator)
 from .schur_analysis import modulus_growth_table, sylvester_hadamard_example
@@ -353,10 +353,9 @@ def _operator_pieces(window: IndexWindow, entries: np.ndarray, fmt: str) -> Iter
 
 def cmd_noise_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
-    # every query is planned, in table order, before the first is summed
     queries = [NoiseQuery(n, l, args.tol) for n in args.n for l in args.l]
-    values = [_noise(q, _moment(A, q, plan)) for q, plan in zip(queries, _plan_all(A, queries))]
-    rows = [(q.n, q.l, v.value, v.lower, v.upper, v.cutoff) for q, v in zip(queries, values)]
+    rows = [(q.n, q.l, v.value, v.lower, v.upper, v.cutoff)
+            for q, v in zip(queries, _brackets(A, queries))]
     header = ("n", "l", "value", "lower", "upper", "cutoff")
     return [_report_text(header, rows, args.format)], 0
 
@@ -365,10 +364,8 @@ def cmd_asymptotic(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
     if not 16 <= args.horizon < 2**61:
         raise UsageError(f"--horizon must be in [16, 2^61), got {args.horizon}")
-    _plan_samples(A, args.l, args.tol, args.horizon)  # every sample, before the first is summed
     records = []
-    for l in args.l:
-        est = asymptotic_noise_estimate(A, l, tol=args.tol, horizon=args.horizon)
+    for l, est in zip(args.l, _estimates(A, args.l, args.tol, args.horizon)):
         samples = [{"n": n, "value": s.value, "lower": s.lower, "upper": s.upper,
                     "cutoff": s.cutoff} for n, s in zip(est.sample_points, est.samples)]
         records.append({"l": l, "classification": est.classification.value,
@@ -405,13 +402,11 @@ def cmd_covariance_check(args: argparse.Namespace) -> tuple[Iterable[str], int]:
 def cmd_noise_diagonal(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     A = _summable_matrix(args)
     w = args.window or _default_window(A.domain, 256)
-    # every diagonal, with its window checks, and every plan come before the first bracket
+    # every diagonal, with its window checks, comes before the first bracket is planned
     diagonals = [noise_operator_diagonal(A, n, w) for n in args.n]
     queries = [NoiseQuery(n, 2, args.tol) for n in args.n]
-    _plan_all(A, queries)
     rows = []
-    for q, (value, tail) in zip(queries, diagonals):
-        s = noise_value(A, q)
+    for q, (value, tail), s in zip(queries, diagonals, _brackets(A, queries)):
         ok = (value - tail <= s.upper) and (s.lower <= value + tail)
         rows.append((q.n, value, tail, s.lower, s.upper, abs(value - s.value), ok))
     header = ("n", "value", "tail_bound", "lower", "upper", "defect", "intersects")

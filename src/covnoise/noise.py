@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -228,26 +227,23 @@ def _round_up(x: float) -> str:
     return "%.3g" % (math.ceil(x / step * (1.0 + 1e-12)) * step)
 
 
-# per matrix, the last cutoff found for each (order, tolerance): where the next search
-# starts.  Only a hint: a stale, lost or racing entry changes no plan, only the search's cost.
-_LAST_CUTOFF: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
+def _select_plan(A: StructureMatrix, q: NoiseQuery, found: dict) -> _Plan:
     """The plan with the smallest cutoff whose width is <= q.tol.
 
     The width falls with the cutoff while the tail dominates and rises
     once the rounding allowance does, so the cutoffs that fit form one
-    run.  The search first tries the last cutoff found for A at the same
-    order and tolerance: if it fits within the term cap and the cutoff
-    below it does not, it starts that run and is the answer.  Otherwise
-    doubling from one period of the profile (1 without one) finds a cutoff
-    that fits, or the term cap, or the rising side (then a scan finds the
-    narrowest plan); bisection then finds the smallest cutoff that fits.
-    Either way the cutoff is the same.  A search makes the row's cutoff-free
-    parts once (_row) and each plan at most once.  A tolerance no cutoff
-    within the cap meets is refused with the smallest achievable width; an
-    index outside the domain of A is refused first.
+    run.  found maps (order, tolerance) to the last cutoff found on A by
+    the caller's earlier searches, and this search records its own there.
+    The search first tries found[q.l, q.tol]: if it fits within the term
+    cap and the cutoff below it does not, it starts that run and is the
+    answer.  Otherwise doubling from one period of the profile (1 without
+    one) finds a cutoff that fits, or the term cap, or the rising side
+    (then a scan finds the narrowest plan); bisection then finds the
+    smallest cutoff that fits.  Either way the cutoff is the same.  A
+    search makes the row's cutoff-free parts once (_row) and each plan at
+    most once.  A tolerance no cutoff within the cap meets is refused with
+    the smallest achievable width; an index outside the domain of A is
+    refused first.
     """
 
     if not A.domain.contains(q.n):
@@ -261,7 +257,6 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery) -> _Plan:
         return made[k]
 
     cap = DEFAULT_TERM_CAP
-    found = _LAST_CUTOFF.setdefault(A, {})
     h = found.get((q.l, q.tol))
     if (h is not None and plan(h).terms <= cap and plan(h).width <= q.tol
             and (h == 1 or plan(h - 1).width > q.tol)):
@@ -319,29 +314,14 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     return math.fsum(pieces)
 
 
-def _plan_all(A: StructureMatrix, queries: list[NoiseQuery]) -> list[_Plan]:
-    """The plans of queries, all made, in order, before any is summed.  An
-    index outside the domain is refused at once; if some tolerances are out
-    of reach, the refusal of the query with the largest floor is raised, so
-    the tolerance it names works for every query."""
-    plans, refusals = [], []
-    for q in queries:
-        try:
-            plans.append(_select_plan(A, q))
-        except ResourceLimitError as exc:
-            refusals.append(exc)
-    if refusals:
-        raise max(refusals, key=lambda exc: exc.achievable)
-    return plans
-
-
-def _moment(A: StructureMatrix, q: NoiseQuery, plan: _Plan) -> NoiseValue:
+def _moment(A: StructureMatrix, q: NoiseQuery, plan: _Plan) -> tuple[float, float, float, int]:
+    """The bracket of M(n, l) under plan, (center, lower, upper, cutoff), rounded outward."""
     coeff = _tail_coefficient(q.l)
     lo, hi = plan.tail
     center = coeff * (_head_sum(A, q.n, q.l, plan.up, plan.down) + 0.5 * (lo + hi))
     radius = 0.5 * coeff * (hi - lo) + plan.slack
-    return NoiseValue(center, math.nextafter(center - radius, -math.inf),
-                      math.nextafter(center + radius, math.inf), plan.up)
+    return (center, math.nextafter(center - radius, -math.inf),
+            math.nextafter(center + radius, math.inf), plan.up)
 
 
 def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
@@ -354,41 +334,42 @@ def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     resource error that names the smallest achievable tolerance.
     """
 
-    return _moment(A, q, _select_plan(A, q))
+    return NoiseValue(*_moment(A, q, _select_plan(A, q, {})))
 
 
-def _noise(q: NoiseQuery, m: NoiseValue) -> NoiseValue:
-    """The bracket of s_n(l) = (pi/sqrt 3)^l - M(n, l) from the bracket m of M(n, l)."""
-    ref = reference_moment(q.l)
-    return NoiseValue(ref - m.value, math.nextafter(ref - m.upper, -math.inf),
-                      math.nextafter(ref - m.lower, math.inf), m.cutoff)
+def _brackets(A: StructureMatrix, queries: list[NoiseQuery]) -> list[NoiseValue]:
+    """Certified brackets of s_n(l) for queries, all planned in order before
+    any is summed, each search from the last cutoff this call found for its
+    order and tolerance.  An index outside the domain is refused at once; of
+    tolerances out of reach, the refusal of the largest floor is raised, so
+    the tolerance it names works for every query."""
+    found, plans, refusals = {}, [], []
+    for q in queries:
+        try:
+            plans.append(_select_plan(A, q, found))
+        except ResourceLimitError as exc:
+            refusals.append(exc)
+    if refusals:
+        raise max(refusals, key=lambda exc: exc.achievable)
+    out = []
+    for q, plan in zip(queries, plans):
+        ref, (center, lower, upper, cutoff) = _REF_BASE**q.l, _moment(A, q, plan)
+        out.append(NoiseValue(ref - center, math.nextafter(ref - upper, -math.inf),
+                              math.nextafter(ref - lower, math.inf), cutoff))
+    return out
 
 
 def noise_value(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     """Certified bracket for s_n(l) = (pi/sqrt 3)^l - M(n, l)."""
-    return _noise(q, moment(A, q))
-
-
-def _plan_samples(A: StructureMatrix, orders: list[int], tol: float,
-                  horizon: int) -> tuple[int, ...]:
-    """The sample points of asymptotic_noise_estimate at horizon, once the
-    tol/10 sample of each order at each point is planned.  A tol some
-    sample cannot reach is refused with the smallest tol that all reach."""
-    points = tuple(sorted({horizon // 4, horizon // 2, horizon}))
-    try:
-        _plan_all(A, [NoiseQuery(p, l, tol / 10.0) for l in orders for p in points])
-    except ResourceLimitError as exc:
-        floor = 10.0 * exc.achievable
-        raise ResourceLimitError(
-            f"tolerance {tol:g} is out of reach for samples bracketed at tol/10; the smallest "
-            f"achievable tolerance is {_round_up(floor)}", floor) from None
-    return points
+    return _brackets(A, [q])[0]
 
 
 def noise_sequence(A: StructureMatrix, l: int, n_range: IndexWindow,
                    tol: float = 1e-8) -> list[NoiseValue]:
+    """Brackets of s_n(l) over n_range, every row planned before any is
+    summed: a refusal names the largest floor, which every row reaches."""
     n_range.validate_for(A.domain)
-    return [noise_value(A, NoiseQuery(n, l, tol)) for n in range(n_range.lo, n_range.hi + 1)]
+    return _brackets(A, [NoiseQuery(n, l, tol) for n in range(n_range.lo, n_range.hi + 1)])
 
 
 class NoiseClassification(Enum):
@@ -409,14 +390,15 @@ def asymptotic_noise_estimate(A: StructureMatrix, l: int, tol: float = 1e-3,
                               horizon: int = 4096) -> AsymptoticEstimate:
     """Heuristic large-n classification of the noise sequence.
 
-    Samples s_n(l) at n = horizon/4, horizon/2, horizon, bracketed at tol/10
-    so their width does not swamp the thresholds; a tol whose samples are
-    out of reach is refused, before any is summed, with the smallest tol
-    they all reach.  A row of moduli 1 on the naturals has s_n(l) =
-    c(l) * zeta(2, n + 1) < c(l)/n, so sample n gets the decay allowance
-    c(l)/n: noiseless needs every upper end under tol plus its allowance; a
-    positive limit needs all lower ends above 2*tol and the values within
-    10*tol + c(l)/n_1 of each other.  A numerical heuristic, never a proof.
+    Samples s_n(l) at n = horizon/4, horizon/2, horizon in one batch,
+    bracketed at tol/10 so their width does not swamp the thresholds; a tol
+    whose samples are out of reach is refused, before any is summed, with
+    the smallest tol they all reach.  A row of moduli 1 on the naturals has
+    s_n(l) = c(l) * zeta(2, n + 1) < c(l)/n, so sample n gets the decay
+    allowance c(l)/n: noiseless needs every upper end under tol plus its
+    allowance; a positive limit needs all lower ends above 2*tol and the
+    values within 10*tol + c(l)/n_1 of each other.  A numerical heuristic,
+    never a proof.
     """
 
     _validate_order(l)
@@ -424,27 +406,44 @@ def asymptotic_noise_estimate(A: StructureMatrix, l: int, tol: float = 1e-3,
         raise UsageError(f"horizon must be in [16, 2^61), got {horizon}")
     if not tol > 0.0:
         raise UsageError(f"tolerance must be positive, got {tol}")
-    points = _plan_samples(A, [l], tol, horizon)
-    samples = tuple(noise_value(A, NoiseQuery(p, l, tol / 10.0)) for p in points)
-    coeff, values = _tail_coefficient(l), [s.value for s in samples]
-    if all(s.upper < tol + coeff / p for p, s in zip(points, samples)):
-        cls = NoiseClassification.ASYMPTOTICALLY_NOISELESS
-    elif (min(s.lower for s in samples) > 2.0 * tol
-          and max(values) - min(values) < 10.0 * tol + coeff / points[0]):
-        cls = NoiseClassification.POSITIVE_LIMIT
-    else:
-        cls = NoiseClassification.UNDETERMINED
-    return AsymptoticEstimate(cls, samples[-1].value, points, samples)
+    return _estimates(A, [l], tol, horizon)[0]
+
+
+def _estimates(A: StructureMatrix, orders: list[int], tol: float,
+               horizon: int) -> list[AsymptoticEstimate]:
+    """asymptotic_noise_estimate of each order, all samples in one batch."""
+    points = tuple(sorted({horizon // 4, horizon // 2, horizon}))
+    try:
+        batch = _brackets(A, [NoiseQuery(p, l, tol / 10.0) for l in orders for p in points])
+    except ResourceLimitError as exc:
+        floor = 10.0 * exc.achievable
+        raise ResourceLimitError(
+            f"tolerance {tol:g} is out of reach for samples bracketed at tol/10; the smallest "
+            f"achievable tolerance is {_round_up(floor)}", floor) from None
+    estimates = []
+    for i, l in enumerate(orders):
+        samples = tuple(batch[i * len(points):(i + 1) * len(points)])
+        coeff, values = _tail_coefficient(l), [s.value for s in samples]
+        if all(s.upper < tol + coeff / p for p, s in zip(points, samples)):
+            cls = NoiseClassification.ASYMPTOTICALLY_NOISELESS
+        elif (min(s.lower for s in samples) > 2.0 * tol
+              and max(values) - min(values) < 10.0 * tol + coeff / points[0]):
+            cls = NoiseClassification.POSITIVE_LIMIT
+        else:
+            cls = NoiseClassification.UNDETERMINED
+        estimates.append(AsymptoticEstimate(cls, samples[-1].value, points, samples))
+    return estimates
 
 
 def is_noiseless_z(B: StructureMatrix, l: int, n_range: IndexWindow,
                    tol: float = 1e-6) -> bool:
-    """True when every bracket over n_range certifies s_n(l) < tol."""
+    """True when every bracket over n_range certifies s_n(l) < tol.  Every
+    row is planned and summed: there is no early exit at a row that fails."""
     if B.domain is not IndexDomain.INTEGERS:
         raise UsageError("noiselessness in this sense is an integers-domain notion")
     _validate_order(l)
-    return all(noise_value(B, NoiseQuery(n, l, tol / 2.0)).upper < tol
-               for n in range(n_range.lo, n_range.hi + 1))
+    queries = [NoiseQuery(n, l, tol / 2.0) for n in range(n_range.lo, n_range.hi + 1)]
+    return all(v.upper < tol for v in _brackets(B, queries))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import numpy as np
 from .matrices import (ChessboardParams, IndexDomain, IndexWindow, Orientation, PhaseSequence,
                        _default_window, chessboard, constant_one, seeded_gram, seeded_torus,
                        torus_phase_recovery, truncate)
-from .noise import NoiseQuery, chessboard_noise_closed_form, is_noiseless_z, noise_value
+from .noise import (NoiseQuery, _brackets, chessboard_noise_closed_form, is_noiseless_z,
+                    noise_value)
 from .observables import (IntervalSet, covariance_defect, noise_operator_diagonal,
                           observable_operator)
 from .schur_analysis import modulus_growth_table, operator_norm, sylvester_hadamard_example
@@ -40,14 +41,13 @@ def _suite_chessboard(suite: Suite, seed: int) -> None:
         tol = 1e-8 if xi == 1.0 else 1e-5
         worst = -math.inf
         good = True
-        for n in (0, 1, 2, 3, 5, 8, 13, 21, 34):
-            for l in (1, 2, 3, 4):
-                v = noise_value(A, NoiseQuery(n, l, tol))
-                cf = chessboard_noise_closed_form(
-                    ChessboardParams(xi), IndexDomain.NATURALS, n, l)
-                overshoot = max(v.lower - cf.value, cf.value - v.upper)
-                worst = max(worst, overshoot)
-                good = good and overshoot <= 0.0
+        ns = (0, 1, 2, 3, 5, 8, 13, 21, 34)
+        queries = [NoiseQuery(n, l, tol) for n in ns for l in (1, 2, 3, 4)]
+        for q, v in zip(queries, _brackets(A, queries)):
+            cf = chessboard_noise_closed_form(ChessboardParams(xi), IndexDomain.NATURALS, q.n, q.l)
+            overshoot = max(v.lower - cf.value, cf.value - v.upper)
+            worst = max(worst, overshoot)
+            good = good and overshoot <= 0.0
         suite.check("chessboard-naturals-closed-form xi=%g" % xi, good, max(worst, 0.0))
     for xi in (0.0, 0.5, 1.0):
         for orientation, constant in (
@@ -93,13 +93,11 @@ def _suite_torus(suite: Suite, seed: int) -> None:
         ns = (0, 5, 12) if domain is IndexDomain.NATURALS else (-7, 0, 3)
         worst = 0.0
         good = True
-        for n in ns:
-            for l in (1, 2):
-                va = noise_value(A, NoiseQuery(n, l, 1e-8))
-                vb = noise_value(ref, NoiseQuery(n, l, 1e-8))
-                gap = abs(va.value - vb.value)
-                worst = max(worst, gap)
-                good = good and gap <= va.width + vb.width
+        queries = [NoiseQuery(n, l, 1e-8) for n in ns for l in (1, 2)]
+        for va, vb in zip(_brackets(A, queries), _brackets(ref, queries)):
+            gap = abs(va.value - vb.value)
+            worst = max(worst, gap)
+            good = good and gap <= va.width + vb.width
         suite.check("torus-noise-matches-constant %s" % domain.value, good, worst)
     A = seeded_torus(IndexDomain.INTEGERS, seed=seed)
     suite.check("torus-integers-noiseless",
@@ -140,7 +138,7 @@ def _suite_noise_diagonal(suite: Suite, seed: int) -> None:
         good = True
         worst = 0.0
         ns = (0, 5) if A.domain is IndexDomain.NATURALS else (-2, 0, 3)
-        brackets = {n: noise_value(A, NoiseQuery(n, 2, 1e-6)) for n in ns}
+        brackets = dict(zip(ns, _brackets(A, [NoiseQuery(n, 2, 1e-6) for n in ns])))
         for size in (128, 256):
             w = _default_window(A.domain, size)
             for n in ns:

@@ -261,12 +261,12 @@ def test_every_index_and_order_is_checked_before_the_first_bracket(capsys, monke
                                                                    argv, message):
     """A bad index, order or window position late in a list exits 2 with
     the message its own query gives, before any bracket is summed."""
-    calls = []
-    monkeypatch.setattr(cli, "noise_value", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli, "asymptotic_noise_estimate", lambda *args, **kw: calls.append(args))
+    summed = []
+    real = noise._head_sum
+    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith(message)
-    assert calls == []
+    assert summed == []
 
 
 def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
@@ -651,8 +651,7 @@ def test_asymptotic_below_floor_names_a_tolerance_that_works(capsys):
 def test_asymptotic_refuses_a_horizon_past_the_indices_before_summing(capsys, monkeypatch):
     """A horizon of 2^61 or more exits 2 naming --horizon before any sample
     is summed, whatever order comes first."""
-    monkeypatch.setattr(cli, "asymptotic_noise_estimate",
-                        lambda *args, **kw: pytest.fail("a sample was summed"))
+    monkeypatch.setattr(noise, "_head_sum", lambda *args: pytest.fail("a sample was summed"))
     for horizon in ("8", str(2**61), str(2**62)):
         code, out, err = run_cli(capsys, "asymptotic", "--l", "1,2", "--horizon", horizon)
         assert (code, out) == (2, "")
@@ -694,7 +693,8 @@ def test_a_tolerance_out_of_reach_is_refused_before_any_bracket_is_summed(capsys
 def test_noise_table_plans_each_query_once(capsys, monkeypatch):
     planned = []
     real = noise._select_plan
-    monkeypatch.setattr(noise, "_select_plan", lambda A, q: planned.append(q) or real(A, q))
+    monkeypatch.setattr(noise, "_select_plan",
+                        lambda *args: planned.append(args[1]) or real(*args))
     code, out, err = run_cli(capsys, "noise-table", "--n", "0:4", "--l", "1,2")
     assert (code, err) == (0, "") and len(out.splitlines()) == 11
     assert [(q.n, q.l) for q in planned] == [(n, l) for n in range(5) for l in (1, 2)]
@@ -702,15 +702,14 @@ def test_noise_table_plans_each_query_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, plans", [
     (["noise-table", "--n", "0:99", "--l", "1,2,4"], 648),
-    (["asymptotic", "--l", "1,2"], 36),
-    (["noise-diagonal"], 6),
+    (["asymptotic", "--l", "1,2"], 12),
+    (["noise-diagonal"], 4),
 ], ids=["table", "asymptotic", "diagonal"])
 def test_row_plans_per_command(capsys, monkeypatch, argv, plans):
     """Count gate on the cutoff search, which starts from the last cutoff
-    found for the matrix, order and tolerance: a next row with the same
-    cutoff, or a query planned again, costs two row plans.  `asymptotic`
-    plans each sample three times and `noise-diagonal` each row twice;
-    searches that started from 1 each time made 2423, 72 and 12."""
+    found in the command for the same order and tolerance: a next row with
+    the same cutoff costs two row plans, and no query is planned twice.
+    Searches that start from 1 each time make 1939, 12 and 4."""
     planned = []
     real = noise._row_plan
     monkeypatch.setattr(noise, "_row_plan", lambda *args: planned.append(args) or real(*args))

@@ -1,11 +1,9 @@
 import collections
 import dataclasses
-import gc
 import itertools
 import math
 import re
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -498,8 +496,8 @@ _BUILDERS = {
 }
 
 
-# The cutoff search starts from the last cutoff found for the matrix, order
-# and tolerance; these tests hold it to the cutoff of a search from scratch.
+# The cutoff search starts from the last cutoff found in the same call for the
+# order and tolerance; these tests hold it to the cutoff of a search from scratch.
 
 
 def _search_matrices(rng):
@@ -518,12 +516,11 @@ def _search_matrices(rng):
 
 def _search(A, q, guess):
     """_select_plan with guess as the last cutoff found for (q.l, q.tol), or
-    with none: its plan, or its refusal's message and achievable tolerance."""
-    noise._LAST_CUTOFF.pop(A, None)
-    if guess is not None:
-        noise._LAST_CUTOFF[A] = {(q.l, q.tol): guess}
+    with none: its plan and the cutoffs found after it, or its refusal's
+    message and achievable tolerance."""
+    found = {} if guess is None else {(q.l, q.tol): guess}
     try:
-        return noise._select_plan(A, q)
+        return noise._select_plan(A, q, found), found
     except ResourceLimitError as exc:
         return str(exc), exc.achievable
 
@@ -541,9 +538,9 @@ def test_a_guessed_search_returns_the_plan_of_a_search_from_scratch():
         for l, n, tol in itertools.product((1, 2, 4), ns, (1e-2, 1e-6, 1e-10, 3e-13, 1e-18)):
             q = cn.NoiseQuery(n, l, tol)
             cold = _search(A, q, None)
-            if isinstance(cold, noise._Plan):
-                k = cold.up
-                assert noise._LAST_CUTOFF[A] == {(l, tol): k}
+            if isinstance(cold[0], noise._Plan):
+                k = cold[0].up
+                assert cold[1] == {(l, tol): k}
             elif "term cap" in cold[0]:  # the smallest cutoff that fits once the cap is set aside
                 row = noise._row(A, n, l)
                 k = noise._first(0, 2**62, lambda j: noise._row_plan(
@@ -560,7 +557,7 @@ def test_a_guessed_search_returns_the_plan_of_a_search_from_scratch():
 def test_noise_sequence_rows_are_cold_noise_values(name, domain):
     """Each row of noise_sequence, planned from the cutoff of the row
     before, has the bits of noise_value on a fresh matrix, planned from
-    scratch; and the cutoffs kept for the matrix do not keep it alive."""
+    scratch."""
     build = _BUILDERS[name]
     A = build(domain)
     tol = 1e-10 if A.profile is not None else 1e-3
@@ -571,11 +568,29 @@ def test_noise_sequence_rows_are_cold_noise_values(name, domain):
                 for n in range(w.lo, w.hi + 1)]
         assert [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in seq] == \
             [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in cold]
-    assert set(noise._LAST_CUTOFF[A]) == {(1, tol), (3, tol)}
-    gone = weakref.ref(A)
-    del A
-    gc.collect()
-    assert gone() is None
+
+
+def test_noise_sequence_refuses_a_late_row_before_summing_any(monkeypatch):
+    """Every row is planned before any is summed: a window whose first rows
+    fit and whose later rows lie below their rounding floors is refused
+    with no row summed, naming the largest floor, which every row reaches."""
+    A, w = cn.constant_one(N), cn.IndexWindow(60, 80)
+    floors = []
+    for n in range(w.lo, w.hi + 1):
+        try:
+            cn.noise_value(A, cn.NoiseQuery(n, 2, 1.8e-13))
+        except ResourceLimitError as exc:
+            floors.append(exc.achievable)
+    assert 0 < len(floors) < w.size
+    summed = []
+    real = noise._head_sum
+    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    with pytest.raises(ResourceLimitError, match="rounding floor") as info:
+        cn.noise_sequence(A, 2, w, 1.8e-13)
+    assert summed == [] and info.value.achievable == max(floors)
+    named = float(re.search(r"smallest achievable tolerance is ([^\s)]+)",
+                            str(info.value)).group(1))
+    assert all(v.width <= named for v in cn.noise_sequence(A, 2, w, named))
 
 
 def test_a_run_of_rows_is_planned_from_the_last_cutoff(monkeypatch):
