@@ -376,9 +376,10 @@ class _BlockCache:
 
     values holds the blocks below the budget of _CACHE_BYTES, in index
     order, each drawn once straight into a store that grows by doubling.
-    Blocks past the budget are drawn for the fetch that needs them and
-    then dropped.  The blocks one fetch needs are drawn in batches of
-    _BATCH blocks on every CPU.
+    Blocks past the budget are drawn for the fetch that needs them, and
+    spill keeps those of the last such fetch, one fetch's worth, so that
+    the next fetch copies the blocks it shares with it.  The blocks one
+    fetch needs are drawn in batches of _BATCH blocks on every CPU.
     """
 
     def __init__(self, seed: int, row: tuple[int, ...], dtype: type,
@@ -389,6 +390,7 @@ class _BlockCache:
         self.fill = fill
         self.store = self.values = np.empty((0, *row), dtype)
         self.limit = max(1, _CACHE_BYTES // (_BLOCK * self.store.itemsize * math.prod(row)))
+        self.spill = np.empty(0, np.int64), np.empty((0, _BLOCK, *row), dtype)
         self.lock = threading.Lock()
 
     def _streams(self, blocks: np.ndarray) -> Iterator[np.random.Generator]:
@@ -447,6 +449,22 @@ class _BlockCache:
         self._draw(np.arange(have, want), self.store[have * _BLOCK:want * _BLOCK])
         self.values = self.store[:want * _BLOCK]
 
+    def _past(self, blocks: np.ndarray) -> np.ndarray:
+        """The values of the sorted blocks past the budget, of shape
+        (len(blocks), _BLOCK) + row: blocks in spill are copied from it and
+        each run of further blocks is drawn in one call.  They become the
+        new spill."""
+        old, kept = self.spill
+        out = np.empty((blocks.size, *kept.shape[1:]), kept.dtype)
+        have = np.isin(blocks, old)
+        out[have] = kept[np.searchsorted(old, blocks[have])]
+        missing = np.flatnonzero(~have)
+        for run in np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1):
+            if run.size:
+                self._draw(blocks[run], out[run[0]:run[-1] + 1].reshape(-1, *out.shape[2:]))
+        self.spill = blocks, out
+        return out
+
     def take(self, zz: np.ndarray) -> np.ndarray:
         """The values at the zigzag indices zz, of shape zz.shape + row."""
         with self.lock:
@@ -459,8 +477,7 @@ class _BlockCache:
             kept = int(np.searchsorted(blocks, self.limit))  # blocks is sorted
             self.ensure(int(blocks[kept - 1] + 1) * _BLOCK if kept else 0)
             rows = self.values.shape[1:]
-            drawn = np.empty(((blocks.size - kept) * _BLOCK, *rows), self.values.dtype)
-            self._draw(blocks[kept:], drawn)
+            drawn = self._past(blocks[kept:]).reshape(-1, *rows)
             pos = (slot - kept) * _BLOCK + zz % _BLOCK
             if not kept:
                 return drawn[pos]

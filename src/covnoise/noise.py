@@ -35,11 +35,13 @@ DEFAULT_TERM_CAP = 10**8
 MAX_ORDER = 622
 # offsets per side in one block of a row sum: 2^14 zigzag indices, 16 Philox blocks
 _CHUNK = 1 << 13
+# entries one oracle call of a head sum forms at most: 2 MiB of complex128, as
+# much as one fetch of a block's 2 * _CHUNK vectors in C^8
+_CALL_ENTRIES = 16 * _CHUNK
 _UNIT = 2.0**-53
-# the near block of every row: offsets 1.._CHUNK and their 1/j^2, read-only
-_NEAR_OFFSETS = np.arange(1, _CHUNK + 1)
-_NEAR_INVERSE_SQUARES = 1.0 / (_NEAR_OFFSETS.astype(float) ** 2)
-_NEAR_OFFSETS.flags.writeable = _NEAR_INVERSE_SQUARES.flags.writeable = False
+# the near block of every row: 1/j^2 for offsets 1.._CHUNK, read-only
+_NEAR_INVERSE_SQUARES = 1.0 / (np.arange(1, _CHUNK + 1).astype(float) ** 2)
+_NEAR_INVERSE_SQUARES.flags.writeable = False
 # above pi^2/3, the largest lattice sum of a row (integers, or naturals as n grows)
 _LATTICE_BOUND = 3.3
 
@@ -287,38 +289,91 @@ def _select_plan(A: StructureMatrix, q: NoiseQuery, found: dict) -> _Plan:
     return plan(best)
 
 
-def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
-    """sum |A(n, n + j)|^l / j^2 over j = 1..up plus |A(n, n - j)|^l / j^2
-    over j = 1..down.
+def _runs(rows: list[tuple[int, int, int, int]], by_n: list[int], start: int, stop: int) -> list:
+    """The oracle calls of the block of offsets [start, stop) of rows
+    (n, l, up, down), taken in the order by_n: per call, its members
+    (i, u, d), row i summing u offsets of the block above n and d below it;
+    the spans (a, b, c, e) of its columns, a..b above n and minus c..e below
+    it (none where a > b or c > e); and the entries its rows need.  A call
+    takes the next row while it forms at most _CALL_ENTRIES entries, and at
+    most 1/16 more than its rows need plus _CHUNK / 8: rows far apart never
+    share a call, and short neighbouring rows, whose call costs more than
+    their entries, always do."""
+    runs: list = []
+    for i in by_n:
+        n, _, up, down = rows[i]
+        u, d = max(min(up, stop - 1) - start + 1, 0), max(min(down, stop - 1) - start + 1, 0)
+        if not u + d:
+            continue
+        a, b = (n + start, n + start + u - 1) if u else (math.inf, -math.inf)
+        c, e = (start - n, start - n + d - 1) if d else (math.inf, -math.inf)
+        if runs:
+            members, (a0, b0, c0, e0), own = run = runs[-1]
+            spans = min(a, a0), max(b, b0), min(c, c0), max(e, e0)
+            entries = (len(members) + 1) * (max(spans[1] - spans[0] + 1, 0)
+                                            + max(spans[3] - spans[2] + 1, 0))
+            if entries <= _CALL_ENTRIES and 16 * entries <= 17 * (own + u + d) + 2 * _CHUNK:
+                members.append((i, u, d))
+                run[1:] = spans, own + u + d
+                continue
+        runs.append([[(i, u, d)], (a, b, c, e), u + d])
+    return runs
 
-    Offsets are taken in blocks of _CHUNK a side from the far end of the
-    row inward, both sides of a block in one oracle call: sides that share
-    per-index data (on the integers, seeded values drawn in blocks of zigzag
-    indices) fetch it once, and the first fetch that reaches the cached
-    indices draws every cached value the row needs.  The block from offset 1
-    reads its offsets and 1/j^2 from a shared read-only table.  Each side is
-    summed by np.add.reduce and the sums are combined with exact compensated
-    addition, so the result does not depend on the order of the blocks.
+
+def _head_sums(A: StructureMatrix, rows: list[tuple[int, int, int, int]]) -> list[float]:
+    """For each row (n, l, up, down): sum |A(n, n + j)|^l / j^2 over
+    j = 1..up plus |A(n, n - j)|^l / j^2 over j = 1..down.
+
+    Every row has the same blocks of offsets, _CHUNK a side, walked from the
+    far end of the longest row inward.  In each block, each run of rows
+    (_runs) shares one oracle call A.entry(ns[:, None], cols[None, :]), cols
+    spanning the run's columns above n, ascending, then those below n,
+    descending, so each side of a row is one slice in order of offset:
+    indices that share per-index data (both sides on the integers,
+    neighbouring rows) are fetched together, and the first fetch that
+    reaches the cached indices draws every cached value it needs.  The
+    block from offset 1 reads 1/j^2 from a shared read-only table.  Each
+    side of a row is summed by np.add.reduce and a row's sums are combined
+    with exact compensated addition, so a row's head depends neither on the
+    order of the blocks nor on the rows summed with it.
     """
 
-    pieces: list[float] = []
-    reach = max(up, down)
+    sums: list[list[float]] = [[] for _ in rows]
+
+    def call(members: list, spans: tuple, start: int, inv: np.ndarray) -> None:
+        a, b, c, e = spans
+        above = np.arange(a, b + 1) if a <= b else np.arange(0)
+        below = -np.arange(c, e + 1) if c <= e else np.arange(0)
+        ns = np.array([rows[i][0] for i, _, _ in members])
+        got = np.abs(np.asarray(A.entry(ns[:, None], np.concatenate([above, below])[None, :])))
+        for row, (i, u, d) in zip(got, members):
+            n, l = rows[i][:2]
+            for at, count in ((n + start - a, u), (above.size + start - n - c, d)):
+                if count:
+                    sums[i].append(float(np.add.reduce(row[at:at + count]**l * inv[:count])))
+
+    by_n = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    reach = max((max(up, down) for _, _, up, down in rows), default=0)
     for start in reversed(range(1, reach + 1, _CHUNK)):
         stop = min(start + _CHUNK, reach + 1)
-        js = _NEAR_OFFSETS[:stop - 1] if start == 1 else np.arange(start, stop)
-        inv = _NEAR_INVERSE_SQUARES if start == 1 else 1.0 / (js.astype(float) ** 2)
-        u, d = js[:max(up - start + 1, 0)], js[:max(down - start + 1, 0)]
-        got = np.abs(np.asarray(A.entry(n, n + np.concatenate([u, -d]))))
-        pieces += [float(np.add.reduce(m**l * inv[:m.size]))
-                   for m in (got[:u.size], got[u.size:]) if m.size]
-    return math.fsum(pieces)
+        inv = (_NEAR_INVERSE_SQUARES if start == 1
+               else 1.0 / (np.arange(start, stop).astype(float) ** 2))
+        for members, spans, _ in _runs(rows, by_n, start, stop):
+            call(members, spans, start, inv)
+    return [math.fsum(pieces) for pieces in sums]
 
 
-def _moment(A: StructureMatrix, q: NoiseQuery, plan: _Plan) -> tuple[float, float, float, int]:
-    """The bracket of M(n, l) under plan, (center, lower, upper, cutoff), rounded outward."""
+def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
+    """The head of one row: _head_sums of the row alone."""
+    return _head_sums(A, [(n, l, up, down)])[0]
+
+
+def _moment(q: NoiseQuery, plan: _Plan, head: float) -> tuple[float, float, float, int]:
+    """The bracket of M(n, l) under plan with head sum head, (center, lower,
+    upper, cutoff), rounded outward."""
     coeff = _tail_coefficient(q.l)
     lo, hi = plan.tail
-    center = coeff * (_head_sum(A, q.n, q.l, plan.up, plan.down) + 0.5 * (lo + hi))
+    center = coeff * (head + 0.5 * (lo + hi))
     radius = 0.5 * coeff * (hi - lo) + plan.slack
     return (center, math.nextafter(center - radius, -math.inf),
             math.nextafter(center + radius, math.inf), plan.up)
@@ -334,29 +389,42 @@ def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
     resource error that names the smallest achievable tolerance.
     """
 
-    return NoiseValue(*_moment(A, q, _select_plan(A, q, {})))
+    plan = _select_plan(A, q, {})
+    return NoiseValue(*_moment(q, plan, _head_sum(A, q.n, q.l, plan.up, plan.down)))
 
 
 def _brackets(A: StructureMatrix, queries: list[NoiseQuery]) -> list[NoiseValue]:
-    """Certified brackets of s_n(l) for queries, all planned in order before
-    any is summed, each search from the last cutoff this call found for its
-    order and tolerance.  An index outside the domain is refused at once; of
+    """Certified brackets of s_n(l) for queries.
+
+    A query is keyed on what its bracket depends on: (n, l, tol), or, on the
+    integers for a matrix read by difference, (n mod the profile's period,
+    l, tol).  Each key is planned once, in order, before any is summed, each
+    search from the last cutoff this call found for its order and
+    tolerance; then the heads of all keys are summed together (_head_sums).
+    Every index is checked: one outside the domain is refused at once; of
     tolerances out of reach, the refusal of the largest floor is raised, so
     the tolerance it names works for every query."""
-    found, plans, refusals = {}, [], []
-    for q in queries:
+    period = 1 if A.profile is None else A.profile.period
+    by_difference = A.difference is not None and A.domain is IndexDomain.INTEGERS
+    keys = [(q.n % period if by_difference else q.n, q.l, q.tol) for q in queries]
+    found, plans, refusals = {}, {}, []
+    for key, q in zip(keys, queries):
+        if key in plans and A.domain.contains(q.n):
+            continue
         try:
-            plans.append(_select_plan(A, q, found))
+            plans[key] = q, _select_plan(A, q, found)
         except ResourceLimitError as exc:
+            plans[key] = None
             refusals.append(exc)
     if refusals:
         raise max(refusals, key=lambda exc: exc.achievable)
-    out = []
-    for q, plan in zip(queries, plans):
-        ref, (center, lower, upper, cutoff) = _REF_BASE**q.l, _moment(A, q, plan)
-        out.append(NoiseValue(ref - center, math.nextafter(ref - upper, -math.inf),
-                              math.nextafter(ref - lower, math.inf), cutoff))
-    return out
+    heads = _head_sums(A, [(q.n, q.l, plan.up, plan.down) for q, plan in plans.values()])
+    values = {}
+    for (key, (q, plan)), head in zip(plans.items(), heads):
+        ref, (center, lower, upper, cutoff) = _REF_BASE**q.l, _moment(q, plan, head)
+        values[key] = NoiseValue(ref - center, math.nextafter(ref - upper, -math.inf),
+                                 math.nextafter(ref - lower, math.inf), cutoff)
+    return [values[key] for key in keys]
 
 
 def noise_value(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covnoise as cn
-from covnoise import cli, noise, verify
+from covnoise import cli, noise, observables, verify
 from covnoise.cli import _operator_pieces, _render_csv, _render_json, _report_text, main
 
 
@@ -248,6 +248,18 @@ _GRAM_Z = '{"kind":"gram","domain":"Z","seed":3,"dim":8}'
 _GRAM_N = '{"kind":"gram","domain":"N","seed":3,"dim":8}'
 
 
+def _bracket_sums(monkeypatch):
+    """Record the rows of every batch of bracket heads summed.  The window
+    diagonals of noise-diagonal, which observables sums one row at a time,
+    are not brackets and are not recorded."""
+    summed = []
+    real = noise._head_sums
+    monkeypatch.setattr(noise, "_head_sums", lambda A, rows: summed.append(rows) or real(A, rows))
+    monkeypatch.setattr(observables, "_head_sum",
+                        lambda A, n, l, up, down: real(A, [(n, l, up, down)])[0])
+    return summed
+
+
 @pytest.mark.parametrize("argv, message", [
     (["noise-table", "--matrix", _GRAM_Z, "--n", "0", "--l", "2,0", "--tol", "1e-6"],
      "error: moment order must be an integer >= 1, got 0"),
@@ -261,9 +273,7 @@ def test_every_index_and_order_is_checked_before_the_first_bracket(capsys, monke
                                                                    argv, message):
     """A bad index, order or window position late in a list exits 2 with
     the message its own query gives, before any bracket is summed."""
-    summed = []
-    real = noise._head_sum
-    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    summed = _bracket_sums(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith(message)
     assert summed == []
@@ -651,7 +661,7 @@ def test_asymptotic_below_floor_names_a_tolerance_that_works(capsys):
 def test_asymptotic_refuses_a_horizon_past_the_indices_before_summing(capsys, monkeypatch):
     """A horizon of 2^61 or more exits 2 naming --horizon before any sample
     is summed, whatever order comes first."""
-    monkeypatch.setattr(noise, "_head_sum", lambda *args: pytest.fail("a sample was summed"))
+    monkeypatch.setattr(noise, "_head_sums", lambda *args: pytest.fail("a sample was summed"))
     for horizon in ("8", str(2**61), str(2**62)):
         code, out, err = run_cli(capsys, "asymptotic", "--l", "1,2", "--horizon", horizon)
         assert (code, out) == (2, "")
@@ -682,12 +692,31 @@ def test_a_tolerance_out_of_reach_is_refused_before_any_bracket_is_summed(capsys
     """Every query of the command is planned before the first is summed:
     a late query out of reach (l = 8, or n = 100 whose floor 1.85e-13
     lies above that of n = 0, 1.75e-13) exits 3 with no row summed."""
-    summed = []
-    real = noise._head_sum
-    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    summed = _bracket_sums(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "") and err.startswith("resource limit: tolerance ")
     assert summed == []
+
+
+@pytest.mark.parametrize("spec, rows, digest", [
+    ('{"kind":"torus","domain":"Z","phases":{"formula":"linear","slope":0.4}}', 3,
+     "8c454e459e935487c7944d1454e11bedf3c9a5c95f5571f346bb02ea1d0bbc69"),
+    ('{"kind":"chessboard","domain":"Z","xi":0.5}', 6,
+     "bb2e23789b23dfff5014be8cd988e18613f6f268482cd70e0bc34652f3066ba8"),
+], ids=["linear-torus", "chessboard"])
+def test_rows_read_by_difference_on_the_integers_are_summed_once_per_key(capsys, monkeypatch,
+                                                                        spec, rows, digest):
+    """On the integers a matrix read by difference has the same row at every
+    n of one residue of its profile's period, so noise-table --n -3:3 sums
+    one head per order (and residue, for the chessboard's period 2) in one
+    batch and prints the bytes it printed when each of the 21 queries was
+    summed on its own."""
+    summed = _bracket_sums(monkeypatch)
+    code, out, err = run_cli(capsys, "noise-table", "--matrix", spec, "--n", "-3:3",
+                             "--l", "1,2,4")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 22
+    assert [len(batch) for batch in summed] == [rows]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_noise_table_plans_each_query_once(capsys, monkeypatch):

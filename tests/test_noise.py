@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,8 +441,8 @@ def test_asymptotic_refuses_a_tolerance_its_samples_cannot_reach_before_summing(
     sample's rounding floor is refused with that bound, rounded up, before
     any sample is summed; the bound it names is reached."""
     summed = []
-    real = noise._head_sum
-    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    real = noise._head_sums
+    monkeypatch.setattr(noise, "_head_sums", lambda *args: summed.append(args) or real(*args))
     with pytest.raises(ResourceLimitError, match="tolerance 1e-14 .* tol/10") as info:
         cn.asymptotic_noise_estimate(cn.constant_one(N), 2, tol=1e-14)
     assert summed == []
@@ -477,6 +478,11 @@ def _one_call_per_chunk_head_sum(A, n, l, up, down):
             if mags.size:
                 pieces.append(float(np.sum(mags**l * inv[:mags.size])))
     return math.fsum(pieces)
+
+
+def _one_call_per_chunk_head_sums(A, rows):
+    """_one_call_per_chunk_head_sum of each row (n, l, up, down), one row at a time."""
+    return [_one_call_per_chunk_head_sum(A, *row) for row in rows]
 
 
 def _unit_vectors(idx):
@@ -583,8 +589,8 @@ def test_noise_sequence_refuses_a_late_row_before_summing_any(monkeypatch):
             floors.append(exc.achievable)
     assert 0 < len(floors) < w.size
     summed = []
-    real = noise._head_sum
-    monkeypatch.setattr(noise, "_head_sum", lambda *args: summed.append(args) or real(*args))
+    real = noise._head_sums
+    monkeypatch.setattr(noise, "_head_sums", lambda *args: summed.append(args) or real(*args))
     with pytest.raises(ResourceLimitError, match="rounding floor") as info:
         cn.noise_sequence(A, 2, w, 1.8e-13)
     assert summed == [] and info.value.achievable == max(floors)
@@ -671,12 +677,12 @@ def test_row_plans_have_the_bits_of_the_one_shot_formula(monkeypatch):
 
 
 def test_the_near_block_table_is_read_only():
-    """Every row's near block reads the same offsets and 1/j^2, so no
-    caller may write them."""
-    for table in (noise._NEAR_OFFSETS, noise._NEAR_INVERSE_SQUARES):
-        assert table.size == noise._CHUNK and not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 2
+    """Every row's near block reads the same 1/j^2, so no caller may write
+    them."""
+    table = noise._NEAR_INVERSE_SQUARES
+    assert table.size == noise._CHUNK and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2
 
 
 @pytest.mark.parametrize("reach", [1, 2, noise._CHUNK - 1, noise._CHUNK, noise._CHUNK + 1])
@@ -736,10 +742,87 @@ def test_tiled_rows_are_bit_identical_to_one_call_per_chunk(monkeypatch, chunk, 
     for name, build in _BUILDERS.items():
         far_first = _row_results(build(domain), domain, reach, tol)
         with monkeypatch.context() as mp:
-            mp.setattr(noise, "_head_sum", _one_call_per_chunk_head_sum)
-            mp.setattr(observables, "_head_sum", _one_call_per_chunk_head_sum)
+            mp.setattr(noise, "_head_sums", _one_call_per_chunk_head_sums)
             outward = _row_results(build(domain), domain, reach, tol)
         assert far_first == outward, name
+
+
+@pytest.mark.parametrize("chunk, entries", [(None, None), (37, None), (37, 150)],
+                         ids=["default", "tile37", "tile37-small-calls"])
+@pytest.mark.parametrize("domain", [N, Z])
+def test_batch_head_sums_are_bit_identical_to_one_call_per_chunk(monkeypatch, chunk, entries,
+                                                                 domain):
+    """Rows summed together keep the bits of each row summed alone with one
+    oracle call per block of offsets, on every builder: the asymptotic
+    samples h/4, h/2 and h, and batches of 1, 2, 17 and 64 rows, both
+    neighbouring rows with one head and order (a noise table) and rows
+    anywhere in a few blocks with heads and orders of their own and sides
+    of unequal length.  On N the side below n stops at the end of the row,
+    which many rows reach.  Calls of at most 150 entries split the runs of
+    rows that would share one."""
+    if chunk is not None:
+        monkeypatch.setattr(noise, "_CHUNK", chunk)
+    if entries is not None:
+        monkeypatch.setattr(noise, "_CALL_ENTRIES", entries)
+    rng = np.random.default_rng(34)
+    block = noise._CHUNK
+    h = 2 * block
+    batches = [[(h // 4, 1, h, h), (h // 2, 2, h, h), (h, 3, h, h)]]
+    for size in (1, 2, 17, 64):
+        lo, reach = int(rng.integers(-block, 2 * block)), int(rng.integers(1, 3 * block))
+        batches.append([(n, 2, reach, reach) for n in range(lo, lo + size)])
+        batches.append([(int(n), int(rng.integers(1, 5)), int(rng.integers(1, 3 * block)),
+                         int(rng.integers(0, 3 * block)))
+                        for n in lo + rng.integers(0, 4 * block, size)])
+    for name, build in _BUILDERS.items():
+        A = build(domain)
+        for rows in batches:
+            if domain is N:
+                rows = [(abs(n), l, up, min(down, abs(n))) for n, l, up, down in rows]
+            assert [v.hex() for v in noise._head_sums(A, rows)] == \
+                [v.hex() for v in _one_call_per_chunk_head_sums(A, rows)], (name, rows)
+
+
+@pytest.mark.parametrize("domain", [N, Z])
+def test_brackets_of_mixed_orders_and_tolerances_keep_the_bits_of_rows_alone(monkeypatch,
+                                                                            domain):
+    """One batch of queries of orders 1, 2 and 4 and two tolerances at
+    neighbouring, distant and repeated indices has, on every builder, the
+    brackets whose heads are summed one row at a time."""
+    for name, build in _BUILDERS.items():
+        tols = (1e-2, 1e-3) if name.endswith("gram") else (1e-6, 1e-10)
+        queries = [cn.NoiseQuery(n, l, tol) for n in (0, 1, 2, 5, 300, 1)
+                   for l, tol in zip((1, 2, 4), itertools.cycle(tols))]
+        batch = noise._brackets(build(domain), queries)
+        with monkeypatch.context() as mp:
+            mp.setattr(noise, "_head_sums", _one_call_per_chunk_head_sums)
+            alone = noise._brackets(build(domain), queries)
+        assert [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in batch] == \
+            [(v.value.hex(), v.lower.hex(), v.upper.hex(), v.cutoff) for v in alone], name
+
+
+def test_a_batch_of_64_gram_rows_peaks_within_one_fetch_window_of_one_row():
+    """No oracle call of a batch forms more than _CALL_ENTRIES entries, as
+    much as one fetch window (2 * _CHUNK vectors in C^8, 2 MiB), so 64
+    gram rows on Z of three full blocks of offsets each peak at most one
+    fetch window above one such row, once the values they read are drawn."""
+    A = cn.seeded_gram(Z, 8, seed=7)
+    up = 3 * noise._CHUNK
+    rows = [(n, 1, up, up) for n in range(64)]
+    noise._head_sums(A, rows)  # draws every seeded value both batches read
+    window = 2 * noise._CHUNK * 8 * 16
+    peaks = []
+    tracemalloc.start()
+    try:
+        for batch in (rows[:1], rows):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            noise._head_sums(A, batch)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] > window  # one row's fetch is a window in itself
+    assert peaks[1] - peaks[0] <= window, peaks
 
 
 def _drawn_blocks(monkeypatch):
@@ -771,33 +854,62 @@ def test_rows_inside_the_budget_draw_each_block_once(monkeypatch):
     assert len(calls) == 2
 
 
-def _block_boundaries_past(reach, first):
-    """Boundaries between blocks of offsets of a row on Z at n = 0 whose
-    shared Philox block lies past zigzag index first."""
-    return sum(1 for a in range(1 + noise._CHUNK, reach + 1, noise._CHUNK) if 2 * a - 2 >= first)
-
-
-@pytest.mark.parametrize("budget, tol, pinned", [(None, 4e-6, 541), (1 << 20, 1e-4, None)])
-def test_rows_past_the_budget_draw_one_extra_block_per_tile_boundary(monkeypatch, budget, tol,
-                                                                     pinned):
-    """Past the budget each block of offsets draws the Philox blocks it
-    needs, so a Philox block that two blocks of offsets share is drawn by
-    both: a row draws every Philox block up to its top zigzag index once,
-    plus one per boundary past the budget.  The gate row (gram on Z, n = 0,
-    l = 1, tol 4e-6) draws 541 blocks in 5 calls: its own vector's block,
-    the two far blocks of offsets past the budget, then the first fetch
-    that reaches into the budget draws the 511 cached blocks in one call
-    and the one block it needs past it."""
+@pytest.mark.parametrize("budget, tol, pinned", [(None, 4e-6, 539), (1 << 20, 1e-4, None)])
+def test_rows_past_the_budget_draw_each_block_once(monkeypatch, budget, tol, pinned):
+    """Past the budget each fetch draws the Philox blocks it needs, but a
+    block the previous such fetch drew is copied from it, so a block that
+    two neighbouring blocks of offsets share is drawn once: a row draws
+    every Philox block up to its top zigzag index exactly once.  The gate
+    row (gram on Z, n = 0, l = 1, tol 4e-6) draws 539 blocks in 4 calls:
+    its own vector's block, the two far blocks of offsets past the budget
+    (the nearer one less the block it shares with the farther), then the
+    first fetch that reaches into the budget draws the 511 cached blocks in
+    one call and copies the one block it needs past it.  When each fetch
+    drew every block it needed, the row drew 541, in calls of
+    [1, 11, 17, 511, 1]."""
     if budget is not None:
         monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
     calls = _drawn_blocks(monkeypatch)
     v = cn.noise_value(cn.seeded_gram(Z, 8, seed=1), cn.NoiseQuery(0, 1, tol))
-    drawn = sum(map(len, calls))
+    drawn = np.concatenate(calls)
     limit = matrices._CACHE_BYTES // (matrices._BLOCK * 128)
-    extra = _block_boundaries_past(v.cutoff, limit * matrices._BLOCK)
-    assert extra > 0 and drawn == 2 * v.cutoff // matrices._BLOCK + 1 + extra
+    assert 2 * v.cutoff > limit * matrices._BLOCK
+    assert sorted(drawn.tolist()) == list(range(2 * v.cutoff // matrices._BLOCK + 1))
     if pinned is not None:
-        assert (drawn, [len(c) for c in calls]) == (pinned, [1, 11, 17, 511, 1])
+        assert (drawn.size, [len(c) for c in calls]) == (pinned, [1, 11, 16, 511])
+
+
+@pytest.mark.parametrize("domain, ns, l, tol, pinned", [
+    (N, range(10), 2, 1e-6, (1954, 123)),
+    (Z, range(2), 1, 4e-6, (539, 34)),
+], ids=["ten-rows-N", "two-rows-Z"])
+def test_rows_of_a_batch_draw_each_block_once_and_share_their_oracle_calls(monkeypatch, domain,
+                                                                           ns, l, tol, pinned):
+    """Count gate on the batch sum: every Philox block up to the batch's top
+    zigzag index is drawn exactly once, and the rows share one oracle call
+    per block of offsets.  The ten-row table on N (gram seed 3, dim 8, the
+    CLI's noise-table --n 0:9 --l 2 --tol 1e-6) draws 1954 blocks in 123
+    calls, and two rows on Z (gram seed 1) 539 blocks in 34 calls; summed
+    one row after another they drew 15842 blocks in 1230 calls and 571 in
+    68."""
+    calls, fetched = _drawn_blocks(monkeypatch), []
+    A = cn.seeded_gram(domain, 8, seed=3 if domain is N else 1)
+    entry = A.entry
+    A = dataclasses.replace(A, entry=lambda n, m: fetched.append(m) or entry(n, m))
+    seq = cn.noise_sequence(A, l, cn.IndexWindow(ns[0], ns[-1]), tol)
+    drawn = np.concatenate(calls)
+    top = max(2 * (n + v.cutoff) for n, v in zip(ns, seq))  # zigzag index of the last column
+    assert sorted(drawn.tolist()) == list(range(top // matrices._BLOCK + 1))
+    assert (drawn.size, len(fetched)) == pinned
+
+
+def test_a_repeated_row_key_still_has_its_index_checked():
+    """Rows of a matrix read by difference on Z share a bracket per residue
+    of the profile's period, but an index past the addressable ones is
+    refused even when its residue was planned already."""
+    A = cn.matrix_from_spec(_LINEAR_TORUS | {"domain": "Z"})
+    with pytest.raises(UsageError, match=f"index {2**61} is not in the integers"):
+        noise._brackets(A, [cn.NoiseQuery(0, 2, 1e-6), cn.NoiseQuery(2**61, 2, 1e-6)])
 
 
 class _CountedThread(threading.Thread):
