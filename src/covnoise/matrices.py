@@ -33,7 +33,7 @@ _BATCH = 8
 # the covariant builders in observables), so no N x N temporary is formed.
 _TILE = 64
 # Indices lie in |n| < 2^61, so n plus or minus the 10^8-term cap of a row
-# sum, and its zigzag index, fit in int64.
+# sum, and its zigzag index (a seeded cache's key on Z), fit in int64.
 INDEX_BOUND = 1 << 61
 
 
@@ -364,6 +364,14 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z + 1) // 2
 
 
+def _natural(n: np.ndarray) -> np.ndarray:
+    # the cache key of an index on N is the index itself; none lies below 0
+    arr = np.asarray(n)
+    if arr.size and arr.min() < 0:
+        raise UsageError(f"index {arr.min()} is not in the naturals")
+    return arr
+
+
 class _BlockCache:
     """Deterministic per-index values in fixed blocks of _BLOCK indices.
 
@@ -466,7 +474,7 @@ class _BlockCache:
         return out
 
     def take(self, zz: np.ndarray) -> np.ndarray:
-        """The values at the zigzag indices zz, of shape zz.shape + row."""
+        """The values at the keys zz, of shape zz.shape + row."""
         with self.lock:
             top = int(zz.max(initial=-1))
             if top < self.limit * _BLOCK:
@@ -497,9 +505,10 @@ def seeded_torus(domain: IndexDomain, seed: int = 0) -> StructureMatrix:
         out *= 2.0 * math.pi  # uniform(0, 2pi) is 2pi times random(), bit for bit
 
     cache = _BlockCache(seed, (), np.float64, fill)
+    key = _zigzag if domain is IndexDomain.INTEGERS else _natural
 
     def nu(n):
-        return cache.take(_zigzag(np.asarray(n)))[()]
+        return cache.take(key(n))[()]
 
     return torus_from_phases(domain, PhaseSequence(nu),
                              label=f"seeded_torus(seed={seed})[{domain.value}]")
@@ -510,6 +519,7 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
 
     if dim < 1:
         raise UsageError(f"gram vector dimension must be >= 1, got {dim}")
+    key, index = (_zigzag, _unzigzag) if domain is IndexDomain.INTEGERS else (_natural, int)
 
     def fill(streams, blocks: np.ndarray, out: np.ndarray) -> None:
         flat = np.empty((len(out), 2 * dim))
@@ -518,12 +528,12 @@ def seeded_gram(domain: IndexDomain, dim: int = 8, seed: int = 0) -> StructureMa
         norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
         np.divide(flat[:, :dim], norms, out=out.real)
         np.divide(flat[:, dim:], norms, out=out.imag)
-        _check_unit(out, lambda i: _unzigzag(int(blocks[i // _BLOCK]) * _BLOCK + i % _BLOCK))
+        _check_unit(out, lambda i: index(int(blocks[i // _BLOCK]) * _BLOCK + i % _BLOCK))
 
     cache = _BlockCache(seed, (dim,), np.complex128, fill)
 
     def vectors(idx: np.ndarray) -> np.ndarray:
-        return cache.take(_zigzag(np.asarray(idx)))
+        return cache.take(key(idx))
 
     return gram_from_vectors(domain, vectors, _checked=True,
                              label=f"seeded_gram(dim={dim},seed={seed})[{domain.value}]")

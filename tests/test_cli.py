@@ -854,15 +854,19 @@ def test_observable_csv_projection(capsys):
     (TORUS_Z, "-150:149", "json",
      "9ca1b372c9aee7ac01342eed7cec55ddab4faee23cc2c1c496b031d74d3e392f"),
     ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "json",
-     "7902fb182d4b2efb640d3e1332294f9429af7a20151cf601e767b8b01eccc03c"),
+     "9dac74b371ed2d987ea09092183fc416d06fe2a59f725d5fb058c3785ad35a11"),
     ({"kind": "gram", "domain": "N", "seed": 3, "dim": 8}, "0:299", "csv",
-     "526e236d721bb122135ad2c5cc55ca63c0b9e3a6447fc9ae330fbf4746db7494"),
+     "4b3815cbca69a0953d116852b323847ae7205a55eebe4102904f97529c3b94ee"),
+    ({"kind": "gram", "domain": "Z", "seed": 3, "dim": 8}, "-150:149", "csv",
+     "05b2ae8efe7f12a7ddc80477d6277262e4f687d220fdcd8414938eedbf34ed63"),
 ], ids=["constant-json", "constant-csv", "chessboard-json", "torus-json", "gram-json",
-        "gram-csv"])
+        "gram-csv", "gram-Z-csv"])
 def test_observable_dump_bytes_are_pinned(capsys, spec, window, fmt, digest):
     """300-wide dumps whose rows all repeat the previous one shifted
     (constant one, chessboard, linear torus) or none do (gram) hash to the
-    bytes that formatting entry by entry gives."""
+    bytes that formatting entry by entry gives.  A seeded gram matrix keys
+    its vectors by the index itself on N and by the zigzag index on Z, so
+    one gram dump pins each layout."""
     code, out, err = run_cli(capsys, "observable", "--matrix", json.dumps(spec),
                              "--window=" + window, "--format", fmt)
     assert (code, err) == (0, "")

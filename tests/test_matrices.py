@@ -469,58 +469,50 @@ def test_seeded_builders_prefix_stable():
         cn.seeded_torus(N, seed=5).entry(5, 3))
 
 
-# sha256 of the seeded values at _seeded_indices, for seeds 0, 7 and 2^62 - 1
-# on N then Z, as drawn when every block below the largest index was kept.
+# sha256 of the seeded values on Z at _seeded_indices, for seeds 0, 7 and
+# 2^62 - 1, as drawn when every block below the largest index was kept.
 _FROZEN = {
-    "gram1": "63c660a7691423c9824cfe4f9876173af0fb89c07701e8aae208387025b33d34",
-    "gram3": "4ef20f6c9690cc55bd2b07a153a2e73d6e9baa41ceaff4f700d62f592d65c509",
-    "gram8": "3b725b842f1b3d07b7eb8de8b6a4ba586678631aad15230106c47b11898bc036",
-    "torus": "c9e18a56e7934a3d3802a4adeb24625a00385c69af3a0bbf54f49b431b4e8f75",
+    "gram1": "aed3e5b02130b8793195cc05452905228b8e272edc1b501176980b47cf9bba20",
+    "gram3": "4098be8efb6d87427e9710678ae9e091b7140b692dc875e8a7b88f2c7136e6de",
+    "gram8": "acf754f295f97932c57c7ad98c4e31a163073d5f332d75cef6e292dd63ecd7a5",
+    "torus": "177a0e9d10239b7e8bf8894e308015a4bd8ba71afde00c55e201d10df400b521",
 }
+_SEEDS = (0, 7, 2**62 - 1)
 
 
-def _seeded_indices(domain, seed):
-    """Indices near 0, far out (|n| up to 1.5e6, past the C^8 budget of
+def _seeded_indices(seed):
+    """Indices on Z near 0, far out (|n| up to 1.5e6, past the C^8 budget of
     |n| < 2^18) and either side of that budget, in random order."""
     rng = np.random.default_rng(seed % 1000)
-    idx = np.concatenate([rng.integers(-3000, 3001, 40), rng.integers(-1_500_000, 1_500_001, 160),
-                          [0, 1, -1, 2**18 - 1, 2**18, -2**18, -2**18 - 1]])
-    return np.abs(idx) if domain is N else idx
+    return np.concatenate([rng.integers(-3000, 3001, 40), rng.integers(-1_500_000, 1_500_001, 160),
+                           [0, 1, -1, 2**18 - 1, 2**18, -2**18, -2**18 - 1]])
+
+
+def _seeded_values(monkeypatch, kind, domain, seed, idx):
+    """The gram vectors (kind "gram<dim>") or torus phases at idx of a fresh
+    seeded matrix, read through the callable its builder hands on."""
+    if kind == "torus":
+        _, phases = _captured(monkeypatch, "torus_from_phases",
+                              lambda: cn.seeded_torus(domain, seed=seed))
+        return phases.nu(idx)
+    _, vectors = _captured(monkeypatch, "gram_from_vectors",
+                           lambda: cn.seeded_gram(domain, int(kind[4:]), seed=seed))
+    return vectors(idx)
 
 
 def _seeded_digest(monkeypatch, kind):
     digest = hashlib.sha256()
-    for seed in (0, 7, 2**62 - 1):
-        for domain in (N, Z):
-            idx = _seeded_indices(domain, seed)
-            if kind == "torus":
-                _, phases = _captured(monkeypatch, "torus_from_phases",
-                                      lambda: cn.seeded_torus(domain, seed=seed))
-                values = phases.nu(np.concatenate([idx, 4 * idx]))
-            else:
-                _, vectors = _captured(monkeypatch, "gram_from_vectors",
-                                       lambda: cn.seeded_gram(domain, int(kind[4:]), seed=seed))
-                values = vectors(idx)
-            digest.update(np.ascontiguousarray(values).tobytes())
+    for seed in _SEEDS:
+        idx = _seeded_indices(seed)
+        if kind == "torus":
+            idx = np.concatenate([idx, 4 * idx])
+        digest.update(np.ascontiguousarray(_seeded_values(monkeypatch, kind, Z, seed, idx)).tobytes())
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("kind, budget", [("gram8", None)] + [
-    (kind, 1 << 18) for kind in ("gram1", "gram3", "gram8", "torus")])
-def test_seeded_values_are_frozen(monkeypatch, kind, budget):
-    """Seeded gram vectors and torus phases keep their bits whether a block
-    is cached or drawn past the budget and dropped: at the real budget, and
-    at a 256 KiB one that leaves 2 to 32 blocks cached."""
-    if budget is not None:
-        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
-    assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind]
-
-
-@pytest.mark.parametrize("cpus", [1, 8])
-def test_seeded_values_are_frozen_on_any_number_of_cpus(monkeypatch, cpus):
-    """The frozen values hold whether the Philox batches of a draw all run
-    in the calling thread (1 CPU) or are shared with up to 7 helper
-    threads (8 CPUs), at a 256 KiB budget that draws past it too."""
+def _on_cpus(monkeypatch, cpus):
+    """Make the cache see cpus CPUs; returns the helper threads each _draw
+    call started, one count per call."""
     per_draw, real_draw = [], matrices._BlockCache._draw
 
     class Counted(threading.Thread):
@@ -537,10 +529,77 @@ def test_seeded_values_are_frozen_on_any_number_of_cpus(monkeypatch, cpus):
     monkeypatch.setattr(matrices.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(matrices.threading, "Thread", Counted)
     monkeypatch.setattr(matrices._BlockCache, "_draw", draw)
+    return per_draw
+
+
+@pytest.mark.parametrize("kind, budget", [("gram8", None)] + [
+    (kind, 1 << 18) for kind in ("gram1", "gram3", "gram8", "torus")])
+def test_seeded_values_are_frozen(monkeypatch, kind, budget):
+    """Seeded gram vectors and torus phases on Z keep their bits whether a
+    block is cached or drawn past the budget and dropped: at the real
+    budget, and at a 256 KiB one that leaves 2 to 32 blocks cached."""
+    if budget is not None:
+        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
+    assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind]
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_seeded_values_are_frozen_on_any_number_of_cpus(monkeypatch, cpus):
+    """The frozen values hold whether the Philox batches of a draw all run
+    in the calling thread (1 CPU) or are shared with up to 7 helper
+    threads (8 CPUs), at a 256 KiB budget that draws past it too."""
+    per_draw = _on_cpus(monkeypatch, cpus)
     monkeypatch.setattr(matrices, "_CACHE_BYTES", 1 << 18)
     for kind in _FROZEN:
         assert _seeded_digest(monkeypatch, kind) == _FROZEN[kind], kind
     assert max(per_draw) == cpus - 1
+
+
+def _natural_indices(seed):
+    """Indices on N near 0, either side of 2^18 and of 2^19 (the C^8
+    budget holds n < 2^19), and past 1.5e6, in random order."""
+    rng = np.random.default_rng(seed % 1000)
+    edges = [2**18 - 1, 2**18, 2**18 + 1, 2**19 - 1, 2**19, 2**19 + 1]
+    return rng.permutation(np.concatenate([
+        rng.integers(0, 3001, 40), rng.integers(1_500_000, 1_600_001, 40), [0, 1, 2], edges]))
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 18], ids=["64MiB", "256KiB"])
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("kind", ["gram1", "gram3", "gram8", "torus"])
+def test_seeded_values_on_the_naturals_are_those_on_the_integers_reindexed(monkeypatch, kind,
+                                                                          cpus, budget):
+    """A seeded matrix on N keys its cache by the index itself, and on Z by
+    the zigzag index (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so the value at
+    n on N is, bit for bit, the value on Z at the index whose zigzag index
+    is n: near 0, either side of both budget edges and far past them, at
+    the real budget and at 256 KiB, on 1 CPU and on 8."""
+    _on_cpus(monkeypatch, cpus)
+    if budget is not None:
+        monkeypatch.setattr(matrices, "_CACHE_BYTES", budget)
+    for seed in (0, 2**62 - 1):
+        n = _natural_indices(seed)
+        nu = np.array([matrices._unzigzag(int(k)) for k in n])
+        assert np.array_equal(matrices._zigzag(nu), n)
+        got = _seeded_values(monkeypatch, kind, N, seed, n)
+        want = _seeded_values(monkeypatch, kind, Z, seed, nu)
+        assert np.array_equal(_bits(got), _bits(want)), seed
+
+
+@pytest.mark.parametrize("build", [lambda: cn.seeded_gram(N, 8, seed=3),
+                                   lambda: cn.seeded_torus(N, seed=3)], ids=["gram", "torus"])
+@pytest.mark.parametrize("n, m, named", [
+    (-1, 0, -1), (np.array([-5, 0, 3]), 0, -5), (np.array([4, 2048, -2, 7, -9]), 1, -9)],
+    ids=["scalar", "array", "mixed"])
+def test_seeded_oracles_on_the_naturals_refuse_negative_indices(build, n, m, named):
+    """A negative index has no key on N: the seeded oracles refuse it, as a
+    row index or a column index, naming it, even once the blocks at the
+    end of the cache are drawn (so it is not read from there)."""
+    A = build()
+    A.entry(0, np.arange(2048))
+    for args in ((n, m), (m, n)):
+        with pytest.raises(UsageError, match=rf"^index {named} is not in the naturals$"):
+            A.entry(*args)
 
 
 def _owned_bytes(cache):
@@ -612,17 +671,26 @@ def test_concurrent_fetches_get_the_serial_values():
 
 def test_seeded_gram_checks_each_vector_once_when_drawn(monkeypatch):
     """Seeded vectors are norm-checked as their block is drawn, not on
-    each fetch: a row fetched twice is checked once.  A vector that is
-    not a unit vector is refused, naming its index."""
-    checked = []
+    each fetch: a row fetched twice is checked once, and the check names
+    a vector by its index in the domain (on Z the key is its zigzag
+    index, on N the index itself).  A vector that is not a unit vector is
+    refused, naming its index."""
+    checked, names = [], []
     real = matrices._check_unit
-    monkeypatch.setattr(matrices, "_check_unit",
-                        lambda rows, index_of: (checked.append(len(rows)), real(rows, index_of)))
+
+    def spy(rows, index_of):
+        checked.append(len(rows))
+        names.append([index_of(i) for i in (0, 1, 2, 1023)])
+        real(rows, index_of)
+
+    monkeypatch.setattr(matrices, "_check_unit", spy)
     A = cn.seeded_gram(Z, 8, seed=1)
     offsets = np.arange(1, 20_000)
     A.entry(0, offsets)
     A.entry(0, offsets)
     assert sum(checked) == 40 * 1024
+    cn.seeded_gram(N, 8, seed=1).entry(0, 3)
+    assert names[0] == [0, -1, 1, -512] and names[-1] == [0, 1, 2, 1023]
     rows = np.full((8, 2), np.sqrt(0.5) + 0j)
     rows[5] *= 2.0
     with pytest.raises(UsageError, match=r"index -3 has norm np.float64\(2.0"):

@@ -122,6 +122,30 @@ def test_canonical_integers_noiseless_tight():
     assert v.width <= 1e-8
 
 
+def test_the_husimi_phase_has_vanishing_noise_but_is_not_canonical():
+    """s_n -> 0 singles out the canonical phase among the tori, not among
+    all covariant phase observables.  The angle margin of the Husimi
+    Q-function has the structure matrix c_nm = Gamma((n+m)/2 + 1)/sqrt(n! m!):
+    unit diagonal, PSD (a Gram matrix of coherent-state radial parts) and of
+    modulus below 1 off the diagonal, so every s_n(1) is positive.  Yet the
+    brackets fall like 0.691/sqrt(n), and the estimator never labels this
+    non-canonical observable asymptotically noiseless."""
+    gammaln = pytest.importorskip("scipy.special").gammaln
+
+    def entry(n, m):
+        n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
+        log = gammaln((n + m) / 2 + 1) - (gammaln(n + 1) + gammaln(m + 1)) / 2
+        return np.exp(log).astype(np.complex128)[()]
+
+    A = cn.StructureMatrix(N, entry, "husimi[N]")
+    ns = (10**2, 10**3, 10**4)
+    lowers = [cn.noise_value(A, cn.NoiseQuery(n, 1, 1e-4)).lower for n in ns]
+    assert 0 < lowers[2] < lowers[1] < lowers[0]
+    assert all(0.6 < lower * math.sqrt(n) < 0.7 for n, lower in zip(ns, lowers))
+    estimate = cn.asymptotic_noise_estimate(A, 1, tol=1e-3, horizon=4096)
+    assert estimate.classification is not cn.NoiseClassification.ASYMPTOTICALLY_NOISELESS
+
+
 matrix_pool = [
     lambda: cn.constant_one(N),
     lambda: cn.constant_one(Z),
@@ -880,25 +904,27 @@ def test_rows_past_the_budget_draw_each_block_once(monkeypatch, budget, tol, pin
 
 
 @pytest.mark.parametrize("domain, ns, l, tol, pinned", [
-    (N, range(10), 2, 1e-6, (1954, 123)),
+    (N, range(10), 2, 1e-6, (977, 123)),
     (Z, range(2), 1, 4e-6, (539, 34)),
 ], ids=["ten-rows-N", "two-rows-Z"])
 def test_rows_of_a_batch_draw_each_block_once_and_share_their_oracle_calls(monkeypatch, domain,
                                                                            ns, l, tol, pinned):
-    """Count gate on the batch sum: every Philox block up to the batch's top
-    zigzag index is drawn exactly once, and the rows share one oracle call
-    per block of offsets.  The ten-row table on N (gram seed 3, dim 8, the
-    CLI's noise-table --n 0:9 --l 2 --tol 1e-6) draws 1954 blocks in 123
-    calls, and two rows on Z (gram seed 1) 539 blocks in 34 calls; summed
-    one row after another they drew 15842 blocks in 1230 calls and 571 in
-    68."""
+    """Count gate on the batch sum: every Philox block up to the cache key
+    of the batch's last column (the index itself on N, its zigzag index on
+    Z) is drawn exactly once, and the rows share one oracle call per block
+    of offsets.  The ten-row table on N (gram seed 3, dim 8, the CLI's
+    noise-table --n 0:9 --l 2 --tol 1e-6) draws 977 blocks in 123 calls,
+    and two rows on Z (gram seed 1) 539 blocks in 34 calls.  Summed one row
+    after another they drew 15842 blocks in 1230 calls and 571 in 68; with
+    the zigzag keys on N too, the table drew 1954 blocks."""
     calls, fetched = _drawn_blocks(monkeypatch), []
     A = cn.seeded_gram(domain, 8, seed=3 if domain is N else 1)
     entry = A.entry
     A = dataclasses.replace(A, entry=lambda n, m: fetched.append(m) or entry(n, m))
     seq = cn.noise_sequence(A, l, cn.IndexWindow(ns[0], ns[-1]), tol)
     drawn = np.concatenate(calls)
-    top = max(2 * (n + v.cutoff) for n, v in zip(ns, seq))  # zigzag index of the last column
+    last = max(n + v.cutoff for n, v in zip(ns, seq))
+    top = last if domain is N else 2 * last  # the last column's cache key: on Z its zigzag index
     assert sorted(drawn.tolist()) == list(range(top // matrices._BLOCK + 1))
     assert (drawn.size, len(fetched)) == pinned
 
