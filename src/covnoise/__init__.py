@@ -32,7 +32,6 @@ from .noise import (
     chessboard_noise_closed_form,
     is_noiseless_z,
     lattice_sum_exact,
-    moment,
     noise_sequence,
     noise_value,
     reference_moment,
@@ -57,7 +56,6 @@ from .schur_analysis import (
     block_diagonal_norm_divergence,
     modulus_growth_table,
     operator_norm,
-    sylvester_hadamard,
     sylvester_hadamard_example,
 )
 

@@ -424,7 +424,7 @@ def cmd_hadamard(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         raise UsageError(f"--p-max must be in [1, 12], got {args.p_max}")
     rows = []
     for p in range(1, args.p_max + 1):
-        _, norm, mod_norm = sylvester_hadamard_example(p)
+        norm, mod_norm = sylvester_hadamard_example(p)
         expected = 2.0 ** (p / 2.0)
         ok = abs(norm.value - 1.0) <= 1e-9 and abs(mod_norm.value - expected) <= 1e-9
         rows.append((p, norm.value, mod_norm.value, expected, ok))

@@ -368,31 +368,6 @@ def _head_sum(A: StructureMatrix, n: int, l: int, up: int, down: int) -> float:
     return _head_sums(A, [(n, l, up, down)])[0]
 
 
-def _moment(q: NoiseQuery, plan: _Plan, head: float) -> tuple[float, float, float, int]:
-    """The bracket of M(n, l) under plan with head sum head, (center, lower,
-    upper, cutoff), rounded outward."""
-    coeff = _tail_coefficient(q.l)
-    lo, hi = plan.tail
-    center = coeff * (head + 0.5 * (lo + hi))
-    radius = 0.5 * coeff * (hi - lo) + plan.slack
-    return (center, math.nextafter(center - radius, -math.inf),
-            math.nextafter(center + radius, math.inf), plan.up)
-
-
-def moment(A: StructureMatrix, q: NoiseQuery) -> NoiseValue:
-    """Certified bracket for the l-th row moment at q.n.
-
-    The head comes from the entry oracle and the rest of the row from the
-    plan's tail enclosure; the bracket is widened by the rounding
-    allowance and its ends are rounded outward.  A query no cutoff within
-    the term cap can meet, or one below the rounding floor, raises a
-    resource error that names the smallest achievable tolerance.
-    """
-
-    plan = _select_plan(A, q, {})
-    return NoiseValue(*_moment(q, plan, _head_sum(A, q.n, q.l, plan.up, plan.down)))
-
-
 def _brackets(A: StructureMatrix, queries: list[NoiseQuery]) -> list[NoiseValue]:
     """Certified brackets of s_n(l) for queries.
 
@@ -421,9 +396,13 @@ def _brackets(A: StructureMatrix, queries: list[NoiseQuery]) -> list[NoiseValue]
     heads = _head_sums(A, [(q.n, q.l, plan.up, plan.down) for q, plan in plans.values()])
     values = {}
     for (key, (q, plan)), head in zip(plans.items(), heads):
-        ref, (center, lower, upper, cutoff) = _REF_BASE**q.l, _moment(q, plan, head)
+        coeff, (lo, hi), ref = _tail_coefficient(q.l), plan.tail, _REF_BASE**q.l
+        center = coeff * (head + 0.5 * (lo + hi))  # M(n, l), rounded outward below
+        radius = 0.5 * coeff * (hi - lo) + plan.slack
+        lower = math.nextafter(center - radius, -math.inf)
+        upper = math.nextafter(center + radius, math.inf)
         values[key] = NoiseValue(ref - center, math.nextafter(ref - upper, -math.inf),
-                                 math.nextafter(ref - lower, math.inf), cutoff)
+                                 math.nextafter(ref - lower, math.inf), plan.up)
     return [values[key] for key in keys]
 
 

@@ -243,41 +243,23 @@ def modulus_growth_table(r_values) -> list[GrowthRecord]:
     return records
 
 
-def sylvester_hadamard(p: int) -> np.ndarray:
-    """2^p Sylvester-Hadamard matrix: each G = H[:m, :m] doubled in place."""
+def sylvester_hadamard_example(p: int) -> tuple[NormEstimate, NormEstimate]:
+    """Norms of the normalized Sylvester matrix A_p = r H, r = fl(1/s),
+    s = fl(2^(p/2)), from the construction alone: H = [[G, G], [G, -G]]
+    doubled p times from [1] is +-1 with H H^T = 2^p I, so ||A_p|| =
+    r 2^(p/2), bracketed one nextafter outward per rounding in fl(r s), and
+    || |A_p| || = r ||ones(2^p)|| = r 2^p, a float.  No matrix is formed."""
+
     if not 1 <= p <= 12:
         raise UsageError(f"doubling order must be in [1, 12], got {p}")
-    H = np.empty((2**p, 2**p))
-    H[0, 0] = 1.0
-    for m in [2**k for k in range(p)]:
-        H[:m, m:2 * m] = H[m:2 * m, :m] = H[:m, :m]
-        np.negative(H[:m, :m], out=H[m:2 * m, m:2 * m])
-    return H
-
-
-def sylvester_hadamard_example(p: int) -> tuple[np.ndarray, NormEstimate, NormEstimate]:
-    """Normalized Sylvester matrix A_p = H / s, s = fl(2^(p/2)), with the
-    norms of A_p (about 1) and of |A_p| (about 2^(p/2)), certified by
-    structure in O(4^p) exact comparisons: H[0, 0] = 1 and each H[:2m, :2m]
-    is [[G, G], [G, -G]], G = H[:m, :m], else ContractViolationError; by
-    induction H is +-1 with H H^T = 2^p I.  A_p = r H exactly, r = fl(1/s),
-    scaled in place: ||A_p|| = r 2^(p/2), bracketed one nextafter outward
-    per rounding in fl(r s), and || |A_p| || = r 2^p, a float."""
-
-    H = sylvester_hadamard(p)
-    if H.shape != (2**p, 2**p) or H[0, 0] != 1.0 or not all(
-            np.array_equal(H[:m, m:2 * m], H[:m, :m]) and np.array_equal(H[m:2 * m, :m], H[:m, :m])
-            and np.array_equal(H[m:2 * m, m:2 * m], -H[:m, :m]) for m in [2**k for k in range(p)]):
-        raise ContractViolationError(f"the doubling of order {p} is not a Hadamard matrix")
     s = math.sqrt(2.0 ** p)
     r = 1.0 / s
-    H *= r
     value = lower = upper = r * s
     for _ in range(2 * (p % 2)):  # s and r s are exact for even p
         lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)
-    norm = NormEstimate(value, NormMethod.STRUCTURE, 0, lower, upper)
     modulus = r * 2.0 ** p
-    return H, norm, NormEstimate(modulus, NormMethod.STRUCTURE, 0, modulus, modulus)
+    return (NormEstimate(value, NormMethod.STRUCTURE, 0, lower, upper),
+            NormEstimate(modulus, NormMethod.STRUCTURE, 0, modulus, modulus))
 
 
 @dataclass(frozen=True)
@@ -296,6 +278,6 @@ def block_diagonal_norm_divergence(p_max: int = 10) -> BlockDiagonalReport:
     if not 1 <= p_max <= 10:
         raise UsageError(f"p_max must be in [1, 10], got {p_max}")
     examples = [sylvester_hadamard_example(p) for p in range(1, p_max + 1)]
-    return BlockDiagonalReport(p_max, sum(A.shape[0] for A, _, _ in examples),
-                               max((norm for _, norm, _ in examples), key=lambda e: e.value),
-                               tuple(modulus.value for _, _, modulus in examples))
+    return BlockDiagonalReport(p_max, sum(2**p for p in range(1, p_max + 1)),
+                               max((norm for norm, _ in examples), key=lambda e: e.value),
+                               tuple(modulus.value for _, modulus in examples))

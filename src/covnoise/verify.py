@@ -170,7 +170,7 @@ def _suite_schur(suite: Suite, seed: int) -> None:
     good = True
     worst = 0.0
     for p in range(1, 7):
-        _, nrm, mod = sylvester_hadamard_example(p)
+        nrm, mod = sylvester_hadamard_example(p)
         gap = max(abs(nrm.value - 1.0), abs(mod.value - 2.0 ** (p / 2.0)))
         worst = max(worst, gap)
         good = good and gap <= 1e-9

@@ -314,7 +314,7 @@ def test_criterion_09_hadamard_separation():
     worst_plain = 0.0
     worst_modulus = 0.0
     for p in range(1, 11):
-        _, plain, mod = cn.sylvester_hadamard_example(p)
+        plain, mod = cn.sylvester_hadamard_example(p)
         worst_plain = max(worst_plain, abs(plain.value - 1.0))
         worst_modulus = max(worst_modulus, abs(mod.value - 2.0 ** (p / 2.0)))
     ok = worst_plain <= 1e-9 and worst_modulus <= 1e-9
@@ -391,19 +391,14 @@ def test_operator_dump_wall_clock(tmp_path):
 
 
 def test_dense_norm_wall_clock(tmp_path):
-    """hadamard --p-max 10 stays inside its budget.  There are no dense
-    solves: each block up to side 1024 is doubled in place, certified by
-    exact comparisons of its doubling blocks (O(4^p), no product H H^T)
-    and scaled by fl(1/fl(2^(p/2))), and both norms are read off that
-    structure, about 0.02 s in all (2-CPU machine); the twenty float64
-    eigensolves of an earlier version took about 0.3 s.  One untimed
-    p = 8 block first, a warm-up kept from when the check was a BLAS
-    product (the first threaded BLAS call of a process can stall for about
-    a second while its threads start); the best of three runs is timed, so
-    a burst of load on a shared machine does not decide the result."""
+    """hadamard --p-max 10 stays inside its budget.  No matrix is formed:
+    both norms of each order are closed forms of Sylvester's construction,
+    a few float operations on p; the twenty float64 eigensolves of an
+    earlier version took about 0.3 s (2-CPU machine).  The best of three
+    runs is timed, so a burst of load on a shared machine does not decide
+    the result."""
     from covnoise.cli import main
 
-    cn.sylvester_hadamard_example(8)
     budget = 0.7
     times, codes = [], []
     for _ in range(3):

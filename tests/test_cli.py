@@ -287,15 +287,20 @@ def test_out_write_failure_after_the_check_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write the report to") and "too long" in err
 
 
-def _capped_child(argv, limit, **env):
+def _capped_child(argv, limit, rss=False, **env):
     """The command and environment of a child that runs main(argv) pinned
     to two CPUs, its address space capped at limit bytes (each thread of
     the child reserves address space of its own, so the CPU count is fixed
-    along with the cap), with env added to its environment."""
+    along with the cap), with env added to its environment.  With rss, the
+    child then prints the peak RSS of its own address space in KiB (VmHWM;
+    ru_maxrss would keep the high-water mark of the image exec replaced)."""
+    report = ("import pathlib; print(next(int(line.split()[1]) for line in "
+              "pathlib.Path('/proc/self/status').read_text().splitlines() "
+              "if line.startswith('VmHWM:'))); ") if rss else ""
     child = ("import os, resource, sys; "
              "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-             "from covnoise.cli import main; sys.exit(main(sys.argv[1:]))")
+             f"from covnoise.cli import main; code = main(sys.argv[1:]); {report}sys.exit(code)")
     return [sys.executable, "-c", child, *argv], {**_child_env(), **env}
 
 
@@ -316,6 +321,16 @@ def test_over_long_list_exits_3_before_it_is_built(argv):
     proc = _run_capped(argv, 2 << 30)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("resource limit: ") and "cap of 1000000" in proc.stderr
+
+
+def test_hadamard_forms_no_matrix(tmp_path):
+    """hadamard --p-max 12 computes both norms of every order from closed
+    forms, so its child peaks near the RSS of importing numpy; forming the
+    4096 x 4096 Sylvester matrix took it to about 231 MB."""
+    proc = _run_capped(["hadamard", "--p-max", "12", "--out", str(tmp_path / "h.csv")],
+                       1 << 30, rss=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 60 * 1024
 
 
 def test_gram_row_memory_does_not_grow_with_the_tolerance():

@@ -96,17 +96,6 @@ def test_query_validation():
         cn.noise_value(cn.constant_one(N), cn.NoiseQuery(-1, 2))
 
 
-def test_moment_matches_noise_value():
-    A = cn.chessboard(Z, cn.ChessboardParams(0.5))
-    q = cn.NoiseQuery(0, 2, 1e-6)
-    m = cn.moment(A, q)
-    s = cn.noise_value(A, q)
-    ref = cn.reference_moment(2)
-    assert s.value == pytest.approx(ref - m.value, abs=1e-15)
-    assert s.lower == pytest.approx(ref - m.upper, abs=1e-15)
-    assert s.upper == pytest.approx(ref - m.lower, abs=1e-15)
-
-
 def test_canonical_naturals_bracket():
     A = cn.constant_one(N)
     for n, known in ((0, math.pi**2 / 6.0), (10, math.pi**2 / 6.0 - H2_10)):
@@ -725,7 +714,7 @@ def test_head_sums_from_the_near_block_table_match_one_call_per_chunk(reach, dom
 
 
 def _row_results(A, domain, reach, tol):
-    """Head sums, moment and noise ends and windowed noise diagonals of A,
+    """Head sums, noise ends and windowed noise diagonals of A,
     as float.hex: at n = 0 and at n inside the first block, with up != down.
     The brackets use A without its profile, so their heads are long."""
     bare = dataclasses.replace(A, profile=None)
@@ -737,8 +726,8 @@ def _row_results(A, domain, reach, tol):
     for n, up, down in rows:
         out.append(noise._head_sum(A, n, 1, up, down).hex())
         q = cn.NoiseQuery(n, 2, tol)
-        m, s = noise.moment(bare, q), noise.noise_value(bare, q)
-        out += [m.lower.hex(), m.upper.hex(), s.lower.hex(), s.upper.hex(), m.cutoff]
+        s = noise.noise_value(bare, q)
+        out += [s.lower.hex(), s.upper.hex(), s.cutoff]
         w = cn.IndexWindow(0, n + reach) if domain is N else cn.IndexWindow(n - reach // 2,
                                                                            n + reach)
         out.append(observables.noise_operator_diagonal(A, n, w)[0].hex())
