@@ -371,11 +371,12 @@ def test_half_circle_observable_is_a_contraction_past_side_1500():
     assert abs(cn.operator_norm(E.entries).value - 1.0) <= 1e-9
 
 
-def sylvester_hadamard(p):
+def sylvester_hadamard(p, origin=1.0):
     """The 2^p Sylvester-Hadamard matrix, the oracle of the closed-form
-    norms: each G = H[:m, :m] doubled in place to [[G, G], [G, -G]]."""
+    norms: each G = H[:m, :m] doubled in place to [[G, G], [G, -G]],
+    starting from H[0, 0] = origin."""
     H = np.empty((2**p, 2**p))
-    H[0, 0] = 1.0
+    H[0, 0] = origin
     for m in [2**k for k in range(p)]:
         H[:m, m:2 * m] = H[m:2 * m, :m] = H[:m, :m]
         np.negative(H[:m, :m], out=H[m:2 * m, m:2 * m])
@@ -396,6 +397,39 @@ def test_sylvester_construction():
     for p in (0, 13):
         with pytest.raises(UsageError, match=r"\[1, 12\]"):
             cn.sylvester_hadamard_example(p)
+
+
+def _product_certifies(H):
+    """The certificate the oracle is held to: +-1 entries, and H H^T with
+    its diagonal the only nonzeros (exact in float64)."""
+    return bool(np.all(np.abs(H) == 1.0)) and np.count_nonzero(H @ H.T) == H.shape[0]
+
+
+_CHANGES = {"sign": lambda v: -v, "ulp": lambda v: math.nextafter(v, math.inf)}
+
+
+@pytest.mark.parametrize("change", _CHANGES, ids=list(_CHANGES))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_every_changed_entry_fails_the_doubling_certificate(p, change):
+    """Each entry of small Sylvester matrices, its sign flipped or moved by
+    one ulp, is refused by the product certificate, so the closed forms
+    are compared only against a true Hadamard matrix."""
+    assert _product_certifies(sylvester_hadamard(p))
+    for index in np.ndindex(2**p, 2**p):
+        H = sylvester_hadamard(p)
+        H[index] = _CHANGES[change](H[index])
+        assert not _product_certifies(H)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0, 1.0 + 2.0**-52])
+def test_a_doubling_from_a_wrong_origin_fails_the_certificate(scale):
+    """Every doubling block copies its source whatever the origin: a
+    doubling from H[0, 0] = scale gives scale H, which the product
+    certificate refuses."""
+    for p in (1, 4):
+        H = sylvester_hadamard(p, origin=scale)
+        assert np.array_equal(H, scale * sylvester_hadamard(p))
+        assert not _product_certifies(H)
 
 
 @pytest.mark.parametrize("p", range(1, 12))
@@ -461,6 +495,22 @@ def test_hadamard_report_keeps_its_bits(capsys):
                                                   float.fromhex("0x1.0000000000002p+0"))
     assert [v.hex() for v in report.block_modulus_norms] == [
         _HADAMARD_HEX[p][1] for p in range(1, 11)]
+
+
+@pytest.mark.parametrize("p_max", range(1, 12))
+def test_hadamard_p_max_prints_the_leading_rows_of_p_max_12(capsys, p_max):
+    """A row depends on its p alone: hadamard --p-max N prints the first N
+    rows of --p-max 12, byte for byte in CSV and row for row in JSON."""
+    from covnoise.cli import main
+
+    outputs = {}
+    for top in (p_max, 12):
+        for fmt in ("csv", "json"):
+            assert main(["hadamard", "--p-max", str(top), "--format", fmt]) == 0
+            outputs[top, fmt] = capsys.readouterr().out
+    lines = outputs[12, "csv"].splitlines(keepends=True)
+    assert outputs[p_max, "csv"] == "".join(lines[:p_max + 1])
+    assert json.loads(outputs[p_max, "json"]) == json.loads(outputs[12, "json"])[:p_max]
 
 
 def test_sylvester_norms_take_no_eigensolve(monkeypatch, tmp_path):
